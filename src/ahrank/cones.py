@@ -15,6 +15,7 @@ a split abelian center adds to the real rank only.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,34 +23,6 @@ from .rootsys import iota
 from .satake import RealFormSpec, SatakeDiagram, real_rank, satake_of
 
 Weight = int | Fraction
-
-
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, element: int) -> int:
-        if self.parent[element] == element:
-            return element
-        self.parent[element] = self.find(self.parent[element])
-        return self.parent[element]
-
-    def unite(self, first: int, second: int) -> bool:
-        rep_first = self.find(first)
-        rep_second = self.find(second)
-        if rep_first == rep_second:
-            return False
-        if self.rank[rep_first] == self.rank[rep_second]:
-            self.rank[rep_first] += 1
-            self.parent[rep_second] = rep_first
-        elif self.rank[rep_first] > self.rank[rep_second]:
-            self.parent[rep_second] = rep_first
-        else:
-            self.parent[rep_first] = rep_second
-        return True
 
 
 @dataclass(frozen=True)
@@ -68,47 +41,58 @@ class NodePartition:
 
     @property
     def free_count(self) -> int:
-        return len(self.free_classes())
+        return self.forced.count(False)
 
 
-def _partition(d: SatakeDiagram, extra_pairs) -> NodePartition:
-    count = d.node_count
-    uf = _UnionFind(count)
+def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> NodePartition:
+    """Orbits of the nodes under the arrow involution and ``sigma`` (a
+    1-based node image array), found by one walk in increasing node order,
+    so each class starts at its least node."""
+    arrow = list(range(d.node_count + 1))
     for i, j in d.arrows:
-        uf.unite(i - 1, j - 1)
-    for i, j in extra_pairs:
-        uf.unite(i - 1, j - 1)
-    groups: dict[int, list[int]] = {}
+        arrow[i], arrow[j] = j, i
+    seen = [False] * len(arrow)
+    black = d.black
+    classes = []
+    forced = []
     for node in d.nodes():
-        groups.setdefault(uf.find(node - 1), []).append(node)
-    classes = sorted((tuple(sorted(nodes)) for nodes in groups.values()), key=min)
-    forced = tuple(any(node in d.black for node in cls) for cls in classes)
-    return NodePartition(tuple(classes), forced)
+        if seen[node]:
+            continue
+        seen[node] = True
+        cls = [node]
+        for member in cls:
+            image = arrow[member]
+            if not seen[image]:
+                seen[image] = True
+                cls.append(image)
+            image = sigma[member]
+            if not seen[image]:
+                seen[image] = True
+                cls.append(image)
+        cls.sort()
+        classes.append(tuple(cls))
+        forced.append(not black.isdisjoint(cls))
+    return NodePartition(tuple(classes), tuple(forced))
 
 
 def matching_classes(d: SatakeDiagram) -> NodePartition:
     """Arrow-orbit classes; the free ones index a basis of the matching cone,
     so the free count equals the real rank."""
-    return _partition(d, ())
+    return _orbits(d, range(d.node_count + 1))
 
 
-def _iota_pairs(d: SatakeDiagram) -> list[tuple[int, int]]:
-    sigma = iota(d.lie_type)
+def _iota_image(d: SatakeDiagram) -> list[int]:
+    """1-based image array of the longest-element involution on the whole
+    diagram, applied per component on doubled diagrams (index 0 unused)."""
+    images = iota(d.lie_type).images
     n = d.lie_type.rank
-    pairs = []
-    for component in range(d.components):
-        offset = component * n
-        for i in range(1, n + 1):
-            j = sigma(i)
-            if j > i:
-                pairs.append((offset + i, offset + j))
-    return pairs
+    return [0] + [offset + j for offset in range(0, d.node_count, n) for j in images]
 
 
 def antipodal_classes(d: SatakeDiagram) -> NodePartition:
     """Classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _partition(d, _iota_pairs(d))
+    return _orbits(d, _iota_image(d))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
@@ -140,7 +124,8 @@ def iota_fixed(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
     """Invariance under the longest-element involution, per component."""
     if len(w.weights) != d.node_count:
         return False
-    return all(w.weights[i - 1] == w.weights[j - 1] for i, j in _iota_pairs(d))
+    sigma = _iota_image(d)
+    return all(w.weights[i - 1] == w.weights[sigma[i] - 1] for i in d.nodes())
 
 
 def b_plus_generators(d: SatakeDiagram) -> tuple[WeightedDynkinDiagram, ...]:

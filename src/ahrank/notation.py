@@ -24,7 +24,8 @@ must be bound by the substitution environment passed to :func:`parse`.
 Braces and square brackets are transparent, and discrete-quotient
 suffixes ("/Z_n", "/{...}") are stripped: they carry group-level data
 that does not affect the Lie algebra.  Anything stripped this way is
-reported on the record returned by :func:`parse_expression`.
+reported on the record returned by :func:`parse_expression`.  A quotient
+group left unclosed is a parse error.
 
 Normalizations applied while parsing: so(2) = T^1, so(1,1) = R^1,
 so(2,2) = sl(2,R) x sl(2,R), so(3,1) = sl(2,C), so(4) = su(2) x su(2),
@@ -173,19 +174,8 @@ class _Parser:
         self.advance()  # the '/'
         token = self.peek()
         if token.kind == "SYM" and token.text in "{[":
-            depth = 0
-            while True:
-                token = self.peek()
-                if token.kind == "END":
-                    return  # tolerate an unbalanced quotient group
-                self.advance()
-                if token.kind == "SYM" and token.text in "{[":
-                    depth += 1
-                elif token.kind == "SYM" and token.text in "}]":
-                    depth -= 1
-                    if depth == 0:
-                        return
-            # unreachable
+            self._skip_group()
+            return
         if token.kind != "NAME":
             raise ParseError("expected a discrete group after '/'", token.pos)
         self.advance()
@@ -196,20 +186,22 @@ class _Parser:
             if token.kind in ("INT", "NAME"):
                 self.advance()
             elif token.kind == "SYM" and token.text == "{":
-                self._skip_balanced_braces()
+                self._skip_group()
         elif token.kind == "INT":
             self.advance()
 
-    def _skip_balanced_braces(self) -> None:
+    def _skip_group(self) -> None:
+        """Skip a bracketed quotient group, from its opening bracket to the
+        matching close; an unclosed group is an error at its opening."""
+        opening = self.peek()
         depth = 0
         while True:
-            token = self.peek()
+            token = self.advance()
             if token.kind == "END":
-                return
-            self.advance()
-            if token.kind == "SYM" and token.text == "{":
+                raise ParseError("unclosed quotient group", opening.pos)
+            if token.kind == "SYM" and token.text in "{[":
                 depth += 1
-            elif token.kind == "SYM" and token.text == "}":
+            elif token.kind == "SYM" and token.text in "}]":
                 depth -= 1
                 if depth == 0:
                     return

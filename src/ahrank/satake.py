@@ -94,15 +94,6 @@ class SatakeDiagram:
     def white_nodes(self) -> frozenset[int]:
         return frozenset(self.nodes()) - self.black
 
-    def arrow_image(self, node: int) -> int:
-        """Image of a node under the arrow involution (fixed if unmatched)."""
-        for i, j in self.arrows:
-            if node == i:
-                return j
-            if node == j:
-                return i
-        return node
-
 
 def _sorted_pairs(pairs) -> frozenset[tuple[int, int]]:
     return frozenset((min(i, j), max(i, j)) for i, j in pairs)

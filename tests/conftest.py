@@ -1,5 +1,6 @@
-"""Shared fixtures: the full diagram database and an exact linear-algebra
-oracle used to cross-check the combinatorial rank computations."""
+"""Shared fixtures: the full diagram database, and independent oracles
+for the engine's combinatorics: an exact linear-algebra rank oracle, a
+union-find node-class oracle and a Weyl-descent oracle for -w0."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from ahrank.rootsys import LieType, iota
+from ahrank.cones import NodePartition
+from ahrank.rootsys import LieType, NodePermutation, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
 
@@ -80,21 +82,88 @@ def matching_equations(d: SatakeDiagram) -> list[list[int]]:
     return equations
 
 
+def iota_pairs(d: SatakeDiagram) -> list[tuple[int, int]]:
+    """Node pairs exchanged by the longest-element involution, per component."""
+    n = d.lie_type.rank
+    sigma = iota(d.lie_type)
+    return [
+        (offset + i, offset + sigma(i))
+        for offset in range(0, d.node_count, n)
+        for i in range(1, n + 1)
+        if sigma(i) > i
+    ]
+
+
 def antipodal_equations(d: SatakeDiagram) -> list[list[int]]:
     """Matching constraints plus invariance under the longest-element
-    involution, built from the closed form independently of the union-find
-    implementation."""
-    n_component = d.lie_type.rank
-    sigma = iota(d.lie_type)
-    equations = matching_equations(d)
+    involution, built from the closed form independently of the orbit walk
+    in the engine."""
     total = d.node_count
-    for component in range(d.components):
-        offset = component * n_component
-        for i in range(1, n_component + 1):
-            j = sigma(i)
-            if j > i:
-                row = [0] * total
-                row[offset + i - 1] = 1
-                row[offset + j - 1] = -1
-                equations.append(row)
+    equations = matching_equations(d)
+    for i, j in iota_pairs(d):
+        row = [0] * total
+        row[i - 1] = 1
+        row[j - 1] = -1
+        equations.append(row)
     return equations
+
+
+# ---------------------------------------------------------------------------
+# union-find node-class oracle
+
+def union_find_partition(d: SatakeDiagram, pairs) -> NodePartition:
+    """Classes of the equivalence generated by ``pairs``, by a plain
+    union-find, sorted by least node; a class is forced when it holds a
+    black node."""
+    parent = list(range(d.node_count + 1))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for node in d.nodes():
+        groups.setdefault(find(node), []).append(node)
+    classes = sorted((tuple(sorted(nodes)) for nodes in groups.values()), key=min)
+    forced = tuple(any(node in d.black for node in cls) for cls in classes)
+    return NodePartition(tuple(classes), forced)
+
+
+# ---------------------------------------------------------------------------
+# Weyl-descent oracle for -w0
+
+def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
+    """The node permutation induced by -w0, and the length of w0, found by
+    descending from a regular dominant weight.
+
+    Starting from the Dynkin labels (1, 2, ..., n), apply a simple
+    reflection s_i at any coordinate with lambda_i > 0 until the weight is
+    antidominant (Bourbaki, Lie Groups VI 1.6; Humphreys, Reflection Groups
+    and Coxeter Groups 1.8).  Each step lengthens the Weyl element by one,
+    so the walk ends at w0(lambda) = -sigma(lambda) after |Phi+| steps; the
+    labels are distinct, so the end point determines sigma.  The labels
+    (1, ..., 1) would not do: sigma fixes them.
+    """
+    cartan = cartan_matrix(t)
+    n = t.rank
+    neighbours = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    weight = list(range(1, n + 1))
+    pending = list(range(n))
+    steps = 0
+    while pending:
+        i = pending.pop()
+        label = weight[i]
+        if label <= 0:
+            continue
+        # s_i(lambda) = lambda - lambda_i alpha_i, and alpha_i has Dynkin
+        # labels a_ij (row i of the Cartan matrix)
+        weight[i] = -label
+        for j in neighbours[i]:
+            weight[j] -= label * cartan[i][j]
+            if weight[j] > 0:
+                pending.append(j)
+        steps += 1
+    return NodePermutation(tuple(-label for label in weight)), steps

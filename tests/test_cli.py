@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from ahrank.cli import main
 
 
@@ -110,6 +112,16 @@ def test_parse_error_exit_2(capsys):
     code, _out, err = run(capsys, "rank", "gl(3,R)")
     assert code == 2
     assert "position 0" in err
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("sl(3,R)/{Z_2", 8), ("sl(3,R)/[Z_2", 8), ("sl(3,R)/Z_{2", 10)],
+)
+def test_unclosed_quotient_group_exit_2(capsys, text, position):
+    code, _out, err = run(capsys, "rank", text)
+    assert code == 2
+    assert f"unclosed quotient group (position {position})" in err
 
 
 def test_not_a_subgroup_exit_1(capsys):

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from conftest import antipodal_equations, matching_equations, solution_dimension
+from conftest import (
+    antipodal_equations,
+    canonical_types,
+    iota_pairs,
+    matching_equations,
+    solution_dimension,
+    union_find_partition,
+)
 
 from ahrank.cones import (
     RankProfile,
@@ -17,7 +24,7 @@ from ahrank.cones import (
     rank_profile,
 )
 from ahrank.rootsys import LieType, iota
-from ahrank.satake import RealFormSpec, complex_as_real, real_rank, satake_of
+from ahrank.satake import RealFormSpec, complex_as_real, real_forms, real_rank, satake_of
 
 
 def test_matching_classes_split():
@@ -101,14 +108,23 @@ def test_trivial_involution_gives_equality(database):
 
 
 def test_rank_linear_algebra_oracle(database):
-    # the union-find class count must agree with the dimension of the
-    # exact rational solution space of the defining linear constraints
+    # the free class counts of the orbit walk must agree with the dimension
+    # of the exact rational solution space of the defining linear constraints
     for spec, diagram in database:
         n = diagram.node_count
         assert solution_dimension(n, matching_equations(diagram)) == real_rank(diagram), spec
         assert solution_dimension(n, antipodal_equations(diagram)) == a_hyperbolic_rank(
             diagram
         ), spec
+
+
+def test_classes_match_union_find_oracle():
+    diagrams = [satake_of(spec) for t in canonical_types(30) for spec in real_forms(t)]
+    diagrams += [complex_as_real(t) for t in canonical_types(12)]
+    for d in diagrams:
+        arrows = sorted(d.arrows)
+        assert matching_classes(d) == union_find_partition(d, arrows), d
+        assert antipodal_classes(d) == union_find_partition(d, arrows + iota_pairs(d)), d
 
 
 def test_complex_as_real_ranks():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from conftest import canonical_types, descent_negation
 
 from ahrank.rootsys import (
+    ROOT_ENUMERATION_BOUND,
     LieType,
     UnsupportedRankError,
     _root_set,
@@ -127,6 +129,15 @@ BRUTE_FORCE_TYPES = (
 @pytest.mark.parametrize("t", BRUTE_FORCE_TYPES, ids=str)
 def test_iota_matches_brute_force(t):
     assert iota(t) == longest_element_negation(t)
+
+
+def test_iota_matches_weyl_descent():
+    # A1-A40, B2-B40, C3-C40, D4-D40 and every exceptional type, E6 included
+    for t in canonical_types(40):
+        negation, steps = descent_negation(t)
+        assert iota(t) == negation, t
+        if t.rank <= ROOT_ENUMERATION_BOUND:
+            assert steps == len(positive_roots(t)), t
 
 
 @pytest.mark.parametrize("t", ALL_SMALL_TYPES, ids=str)
