@@ -17,7 +17,6 @@ from .catalog import (
     TABLE2,
     VerificationReport,
     anomaly_scan,
-    instantiate,
     table1_predicted_anomalies,
     verify_table1,
     verify_table2,
@@ -31,8 +30,6 @@ from .cones import (
     antipodal_classes,
     b_plus_generators,
     factor_profile,
-    iota_fixed,
-    matches,
     matching_classes,
     rank_profile,
 )
@@ -49,13 +46,8 @@ from .notation import AlgebraExpression, ParseError, parse, parse_expression, re
 from .rootsys import (
     LieType,
     NodePermutation,
-    UnsupportedRankError,
     cartan_matrix,
     iota,
-    is_cartan_automorphism,
-    longest_element_negation,
-    positive_roots,
-    weyl_order,
 )
 from .satake import (
     InvalidRealFormError,

@@ -34,13 +34,8 @@ from typing import Callable, Iterator
 from .cones import ReductiveAlgebra, a_hyperbolic_rank, factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
-from .rootsys import LieType
+from .rootsys import canonical_types
 from .satake import RealFormSpec, real_forms, real_rank, satake_of
-
-
-def instantiate(template: str, params: dict[str, int] | None = None) -> ReductiveAlgebra:
-    """Substitute integer parameters into an algebra template and parse it."""
-    return parse(template, params)
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +151,15 @@ def verify_table1(k_max: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # anomaly scan
 
-def _canonical_types(rank_bound: int) -> Iterator[LieType]:
-    for rank in range(1, rank_bound + 1):
-        yield LieType("A", rank)
-    for rank in range(2, rank_bound + 1):
-        yield LieType("B", rank)
-    for rank in range(3, rank_bound + 1):
-        yield LieType("C", rank)
-    for rank in range(4, rank_bound + 1):
-        yield LieType("D", rank)
-    for letter, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)):
-        if rank <= rank_bound:
-            yield LieType(letter, rank)
-
-
 def anomaly_scan(rank_bound: int) -> tuple[RealFormSpec, ...]:
     """Every real form of every simple type up to the rank bound whose
-    a-hyperbolic rank differs from its real rank.  Types are iterated in
-    their canonical ranges (A>=1, B>=2, C>=3, D>=4) so isomorphic low-rank
-    duplicates are not double counted."""
+    a-hyperbolic rank differs from its real rank.  Types come from
+    ``canonical_types``, so isomorphic low-rank duplicates are not double
+    counted."""
     if rank_bound < 2:
         raise ValueError("rank_bound must be >= 2")
     found = []
-    for t in _canonical_types(rank_bound):
+    for t in canonical_types(rank_bound):
         for spec in real_forms(t):
             ahyp, real = _computed_ranks(spec)
             if ahyp != real:
@@ -417,11 +398,14 @@ def _simple_noncompact(alg: ReductiveAlgebra) -> bool:
     return factor_profile(alg.simple_factors[0]).real_rank >= 1
 
 
+def _verdict(g: ReductiveAlgebra, h_template: str, params: dict[str, int]) -> Verdict:
+    """Run the decision engine on a parsed G and a template for H."""
+    return decide(rank_profile(g), rank_profile(parse(h_template, params))).verdict
+
+
 def row_verdict(row: FamilyRow, params: dict[str, int]) -> Verdict:
     """Instantiate one row and run the decision engine on it."""
-    g = instantiate(row.g_template, params)
-    h = instantiate(row.h_template, params)
-    return decide(rank_profile(g), rank_profile(h)).verdict
+    return _verdict(parse(row.g_template, params), row.h_template, params)
 
 
 def verify_table2(param_bound: int) -> VerificationReport:
@@ -437,12 +421,12 @@ def verify_table2(param_bound: int) -> VerificationReport:
     instances = 0
     for row in TABLE2:
         for params in _instances(row, param_bound):
-            g = instantiate(row.g_template, params)
+            g = parse(row.g_template, params)
             if not _simple_noncompact(g):
                 skips.append((row.source, tuple(sorted(params.items())), "G not simple noncompact"))
                 continue
             instances += 1
-            verdict = row_verdict(row, params)
+            verdict = _verdict(g, row.h_template, params)
             if verdict.value != row.expected:
                 failures.append(
                     (row.source, tuple(sorted(params.items())), verdict.value, row.expected)
@@ -555,6 +539,4 @@ ADMITTING_FAMILIES: tuple[ExampleFamily, ...] = (
 def example_verdict(family: ExampleFamily, params: dict[str, int] | None = None) -> Verdict:
     env = dict(family.smallest)
     env.update(params or {})
-    g = instantiate(family.g_template, env)
-    h = instantiate(family.h_template, env)
-    return decide(rank_profile(g), rank_profile(h)).verdict
+    return _verdict(parse(family.g_template, env), family.h_template, env)

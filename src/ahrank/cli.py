@@ -57,11 +57,6 @@ def _params_arg(text: str) -> dict[str, int]:
     return env
 
 
-def _algebra(args, expression: str):
-    record = parse_expression(expression, getattr(args, "params", None))
-    return record
-
-
 def _rank_payload(expression: str, record) -> dict:
     profile = rank_profile(record.algebra)
     return {
@@ -87,7 +82,7 @@ def _warn_discarded(record) -> str:
 
 
 def _cmd_rank(args) -> int:
-    record = _algebra(args, args.expr)
+    record = parse_expression(args.expr, args.params)
     payload = _rank_payload(args.expr, record)
     text = (
         f"algebra:           {payload['canonical']}{_warn_discarded(record)}\n"
@@ -106,8 +101,8 @@ _CONDITION_TEXT = {
 
 
 def _cmd_decide(args) -> int:
-    g_record = _algebra(args, args.g)
-    h_record = _algebra(args, args.h)
+    g_record = parse_expression(args.g, args.params)
+    h_record = parse_expression(args.h, args.params)
     g_profile = rank_profile(g_record.algebra)
     h_profile = rank_profile(h_record.algebra)
     decision = decide(g_profile, h_profile)
@@ -133,8 +128,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    g_record = _algebra(args, args.g)
-    h_record = _algebra(args, args.h)
+    g_record = parse_expression(args.g, args.params)
+    h_record = parse_expression(args.h, args.params)
     obstruction = embed_obstruction(
         rank_profile(g_record.algebra), rank_profile(h_record.algebra)
     )
@@ -163,7 +158,7 @@ def _single_diagram(record):
 
 
 def _cmd_satake_show(args) -> int:
-    record = _algebra(args, args.form)
+    record = parse_expression(args.form, args.params)
     diagram = _single_diagram(record)
     payload = export(diagram)
     payload["form"] = render(record.algebra)
@@ -175,7 +170,7 @@ def _cmd_satake_show(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    record = _algebra(args, args.form)
+    record = parse_expression(args.form, args.params)
     diagram = _single_diagram(record)
     generators = b_plus_generators(diagram)
     payload = {

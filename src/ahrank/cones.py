@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rootsys import iota
 from .satake import RealFormSpec, SatakeDiagram, real_rank, satake_of
-
-Weight = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -104,28 +101,11 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
 class WeightedDynkinDiagram:
     """Nonnegative weights on diagram nodes, in node order."""
 
-    weights: tuple[Weight, ...]
+    weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if any(w < 0 for w in self.weights):
             raise ValueError(f"weights must be nonnegative: {self.weights}")
-
-
-def matches(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
-    """Black nodes weigh 0 and arrow-paired nodes weigh the same."""
-    if len(w.weights) != d.node_count:
-        return False
-    if any(w.weights[i - 1] != 0 for i in d.black):
-        return False
-    return all(w.weights[i - 1] == w.weights[j - 1] for i, j in d.arrows)
-
-
-def iota_fixed(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
-    """Invariance under the longest-element involution, per component."""
-    if len(w.weights) != d.node_count:
-        return False
-    sigma = _iota_image(d)
-    return all(w.weights[i - 1] == w.weights[sigma[i] - 1] for i in d.nodes())
 
 
 def b_plus_generators(d: SatakeDiagram) -> tuple[WeightedDynkinDiagram, ...]:
@@ -163,7 +143,9 @@ class RankProfile:
 class ReductiveAlgebra:
     """A reductive real Lie algebra: simple factors plus abelian center,
     the center split into compact and split dimensions.  Factors are kept
-    sorted so equal algebras compare equal."""
+    sorted, so two algebras with the same factor list compare equal in any
+    order.  Isomorphic factors in different presentations (su(1,2) and
+    su(2,1), so(5) and sp(2)) still compare unequal; see ROADMAP item 2."""
 
     simple_factors: tuple[RealFormSpec, ...] = ()
     compact_center_dim: int = 0

@@ -52,6 +52,9 @@ _EXCEPTIONAL_FORMS = {
     ("f", 4): {"i", "ii"},
     ("g", 2): set(),
 }
+#: Longest integer literal accepted: Python's default limit on converting a
+#: decimal string to int, past which ``int()`` itself raises.
+_MAX_INT_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -112,6 +115,8 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < length and text[i].isdigit():
                 i += 1
+            if i - start > _MAX_INT_DIGITS:
+                raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", start)
             tokens.append(_Token("INT", text[start:i], start))
             continue
         if ch in "(),^/{}[]+-*_":

@@ -1,8 +1,9 @@
-"""Root systems of the simple complex Lie algebras, in exact integer arithmetic.
+"""Simple complex Lie algebra types, in exact integer arithmetic.
 
-Everything here is combinatorial: Cartan matrices, root sets generated by
-simple reflections, small-rank Weyl group enumeration, and the diagram
-involution induced by the longest Weyl element.
+Cartan matrices, the list of types up to a rank bound with each isomorphism
+class once, and the closed form of the diagram involution induced by -w0
+(the negated longest Weyl element).  The root enumeration and Weyl group
+searches that check ``iota`` are test oracles in ``tests/conftest.py``.
 
 Node numbering
 --------------
@@ -22,11 +23,7 @@ the branch node n hangs off node 3::
                   |
                   n
 
-Weight and root vectors are serialized in this node order throughout the
-package.
-
-Roots are stored as integer coordinate vectors in the simple-root basis; a
-vector is a root precisely when its coordinates all share one sign.
+Weight vectors are serialized in this node order throughout the package.
 """
 
 from __future__ import annotations
@@ -36,25 +33,14 @@ from functools import lru_cache
 
 SERIES = "ABCDEFG"
 
-#: positive_roots() enumerates root systems up to this rank.
-ROOT_ENUMERATION_BOUND = 8
-
-#: longest_element_negation() enumerates Weyl groups up to this rank
-#: (largest supported group: W(B5), order 3840).
-WEYL_ENUMERATION_BOUND = 5
-
-
-class UnsupportedRankError(ValueError):
-    """An enumeration was requested beyond its supported rank."""
-
 
 @dataclass(frozen=True, order=True)
 class LieType:
     """A simple complex type: series letter A-G plus rank.
 
     D2 and D3 are accepted (they coincide with A1 x A1 and A3) so that the
-    so(p, q) family can be built uniformly; ``is_canonical`` is False for
-    them and for B1, C1, C2.
+    so(p, q) family can be built uniformly; ``canonical_types`` leaves them
+    out, with B1, C1 and C2.
     """
 
     letter: str
@@ -73,13 +59,6 @@ class LieType:
             raise ValueError("type F requires rank 4")
         if self.letter == "G" and self.rank != 2:
             raise ValueError("type G requires rank 2")
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when the rank lies in the non-redundant range (A >= 1,
-        B >= 2, C >= 3, D >= 4); lower ranks duplicate earlier families."""
-        minimum = {"A": 1, "B": 2, "C": 3, "D": 4}.get(self.letter)
-        return minimum is None or self.rank >= minimum
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -127,43 +106,6 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _reflect(cartan: tuple[tuple[int, ...], ...], v: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Image of v under the simple reflection s_i, in simple-root coordinates."""
-    pairing = sum(c * cartan[j][i - 1] for j, c in enumerate(v))
-    out = list(v)
-    out[i - 1] -= pairing
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _root_set(t: LieType) -> frozenset[tuple[int, ...]]:
-    """All roots: reflection closure of the simple roots."""
-    cartan = cartan_matrix(t)
-    n = t.rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for i in range(1, n + 1):
-                w = _reflect(cartan, v, i)
-                if w not in roots:
-                    roots.add(w)
-                    fresh.append(w)
-        frontier = fresh
-    return frozenset(roots)
-
-
-def positive_roots(t: LieType) -> frozenset[tuple[int, ...]]:
-    """All positive roots (nonnegative coordinates), by reflection closure."""
-    if t.rank > ROOT_ENUMERATION_BOUND:
-        raise UnsupportedRankError(
-            f"positive_roots supports rank <= {ROOT_ENUMERATION_BOUND}, got {t}"
-        )
-    return frozenset(v for v in _root_set(t) if all(c >= 0 for c in v))
-
-
 @dataclass(frozen=True)
 class NodePermutation:
     """Permutation of diagram nodes, stored as 1-based images."""
@@ -181,71 +123,22 @@ class NodePermutation:
     def is_identity(self) -> bool:
         return all(image == i + 1 for i, image in enumerate(self.images))
 
-    def compose(self, other: "NodePermutation") -> "NodePermutation":
-        return NodePermutation(tuple(self(other(i)) for i in range(1, len(self.images) + 1)))
 
-
-def is_cartan_automorphism(t: LieType, perm: NodePermutation) -> bool:
-    """Whether the node permutation preserves the Cartan matrix of t."""
-    cartan = cartan_matrix(t)
-    n = t.rank
-    return all(
-        cartan[perm(i) - 1][perm(j) - 1] == cartan[i - 1][j - 1]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _weyl_elements(t: LieType) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """The full Weyl group, each element stored by its simple-root images."""
-    if t.rank > WEYL_ENUMERATION_BOUND:
-        raise UnsupportedRankError(
-            f"Weyl enumeration supports rank <= {WEYL_ENUMERATION_BOUND}, got {t}"
-        )
-    cartan = cartan_matrix(t)
-    n = t.rank
-    identity = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for i in range(1, n + 1):
-                nxt = tuple(_reflect(cartan, img, i) for img in w)
-                if nxt not in elements:
-                    elements.add(nxt)
-                    fresh.append(nxt)
-        frontier = fresh
-    return frozenset(elements)
-
-
-def weyl_order(t: LieType) -> int:
-    """Order of the Weyl group, by explicit enumeration (rank <= 5)."""
-    return len(_weyl_elements(t))
-
-
-def longest_element_negation(t: LieType) -> NodePermutation:
-    """Node permutation induced by X -> -(w0 X), found by brute force.
-
-    Enumerates the Weyl group as the closure of the simple reflections and
-    locates the unique element sending every positive root to a negative
-    one; negating its action permutes the simple roots.
-    """
-    longest = [
-        w
-        for w in _weyl_elements(t)
-        if all(all(c <= 0 for c in img) for img in w)
+def canonical_types(rank_bound: int) -> list[LieType]:
+    """Every simple type up to the rank bound, once per isomorphism class:
+    A >= 1, B >= 2, C >= 3, D >= 4 (lower ranks duplicate earlier series),
+    then E6, E7, E8, F4 and G2."""
+    types = [
+        LieType(letter, rank)
+        for letter, least in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+        for rank in range(least, rank_bound + 1)
     ]
-    assert len(longest) == 1, "the longest element must be unique"
-    images = []
-    for img in longest[0]:
-        negated = tuple(-c for c in img)
-        assert sum(negated) == 1 and all(c in (0, 1) for c in negated), (
-            "-w0 must permute the simple roots"
-        )
-        images.append(negated.index(1) + 1)
-    return NodePermutation(tuple(images))
+    types += [
+        LieType(letter, rank)
+        for letter, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+        if rank <= rank_bound
+    ]
+    return types
 
 
 def iota(t: LieType) -> NodePermutation:

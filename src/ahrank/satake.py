@@ -300,7 +300,7 @@ def validate(d: SatakeDiagram) -> list[str]:
 
 def real_rank(d: SatakeDiagram) -> int:
     """Number of white-node orbits under the arrow involution."""
-    return len(d.white_nodes()) - len(d.arrows)
+    return d.node_count - len(d.black) - len(d.arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,19 @@
 """Shared fixtures: the full diagram database, and independent oracles
-for the engine's combinatorics: an exact linear-algebra rank oracle, a
-union-find node-class oracle and a Weyl-descent oracle for -w0."""
+for the engine's combinatorics that the package itself does not need: an
+exact linear-algebra rank oracle with cone membership tests for weight
+vectors, a union-find node-class oracle, root enumeration and a Weyl
+brute force for -w0 up to rank 5, and a Weyl-descent oracle for -w0."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from ahrank.cones import NodePartition
-from ahrank.rootsys import LieType, NodePermutation, cartan_matrix, iota
+from ahrank.cones import NodePartition, WeightedDynkinDiagram
+from ahrank.rootsys import LieType, NodePermutation, canonical_types, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
-
-
-def canonical_types(rank_bound: int) -> list[LieType]:
-    types = [LieType("A", r) for r in range(1, rank_bound + 1)]
-    types += [LieType("B", r) for r in range(2, rank_bound + 1)]
-    types += [LieType("C", r) for r in range(3, rank_bound + 1)]
-    types += [LieType("D", r) for r in range(4, rank_bound + 1)]
-    types += [
-        LieType(letter, r)
-        for letter, r in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
-        if r <= rank_bound
-    ]
-    return types
 
 
 def database_specs(rank_bound: int = 9, complex_rank_bound: int = 4) -> list[RealFormSpec]:
@@ -108,6 +98,22 @@ def antipodal_equations(d: SatakeDiagram) -> list[list[int]]:
     return equations
 
 
+def matches(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
+    """Black nodes weigh 0 and arrow-paired nodes weigh the same."""
+    return (
+        len(w.weights) == d.node_count
+        and all(w.weights[i - 1] == 0 for i in d.black)
+        and all(w.weights[i - 1] == w.weights[j - 1] for i, j in d.arrows)
+    )
+
+
+def iota_fixed(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
+    """Invariance under the longest-element involution, per component."""
+    return len(w.weights) == d.node_count and all(
+        w.weights[i - 1] == w.weights[j - 1] for i, j in iota_pairs(d)
+    )
+
+
 # ---------------------------------------------------------------------------
 # union-find node-class oracle
 
@@ -130,6 +136,114 @@ def union_find_partition(d: SatakeDiagram, pairs) -> NodePartition:
     classes = sorted((tuple(sorted(nodes)) for nodes in groups.values()), key=min)
     forced = tuple(any(node in d.black for node in cls) for cls in classes)
     return NodePartition(tuple(classes), forced)
+
+
+# ---------------------------------------------------------------------------
+# root enumeration and Weyl brute force
+
+#: positive_roots() enumerates root systems up to this rank.
+ROOT_ENUMERATION_BOUND = 8
+
+#: longest_element_negation() enumerates Weyl groups up to this rank
+#: (largest supported group: W(B5), order 3840).
+WEYL_ENUMERATION_BOUND = 5
+
+
+def compose(p: NodePermutation, q: NodePermutation) -> NodePermutation:
+    """The permutation applying q first, then p."""
+    return NodePermutation(tuple(p(q(i)) for i in range(1, len(q.images) + 1)))
+
+
+def is_cartan_automorphism(t: LieType, perm: NodePermutation) -> bool:
+    """Whether the node permutation preserves the Cartan matrix of t."""
+    cartan = cartan_matrix(t)
+    n = t.rank
+    return all(
+        cartan[perm(i) - 1][perm(j) - 1] == cartan[i - 1][j - 1]
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def _reflect(cartan: tuple[tuple[int, ...], ...], v: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Image of v under the simple reflection s_i, in simple-root coordinates."""
+    pairing = sum(c * cartan[j][i - 1] for j, c in enumerate(v))
+    out = list(v)
+    out[i - 1] -= pairing
+    return tuple(out)
+
+
+def _closure(t: LieType, start, act) -> frozenset:
+    """Everything reached from ``start`` by simple reflections, where
+    ``act(cartan, x, i)`` applies s_i to x."""
+    cartan = cartan_matrix(t)
+    found = set(start)
+    frontier = list(start)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for i in range(1, t.rank + 1):
+                y = act(cartan, x, i)
+                if y not in found:
+                    found.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return frozenset(found)
+
+
+def _simple_roots(t: LieType) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank))
+
+
+@lru_cache(maxsize=None)
+def root_set(t: LieType) -> frozenset[tuple[int, ...]]:
+    """All roots, as simple-root coordinate vectors: the reflection closure
+    of the simple roots."""
+    return _closure(t, _simple_roots(t), _reflect)
+
+
+def positive_roots(t: LieType) -> frozenset[tuple[int, ...]]:
+    """All positive roots (nonnegative coordinates), by reflection closure."""
+    if t.rank > ROOT_ENUMERATION_BOUND:
+        raise ValueError(f"positive_roots supports rank <= {ROOT_ENUMERATION_BOUND}, got {t}")
+    return frozenset(v for v in root_set(t) if all(c >= 0 for c in v))
+
+
+@lru_cache(maxsize=None)
+def _weyl_elements(t: LieType) -> frozenset[tuple[tuple[int, ...], ...]]:
+    """The full Weyl group, each element stored by its simple-root images:
+    the closure of the identity under left multiplication by s_i."""
+    if t.rank > WEYL_ENUMERATION_BOUND:
+        raise ValueError(f"Weyl enumeration supports rank <= {WEYL_ENUMERATION_BOUND}, got {t}")
+    return _closure(
+        t,
+        [_simple_roots(t)],
+        lambda cartan, w, i: tuple(_reflect(cartan, img, i) for img in w),
+    )
+
+
+def weyl_order(t: LieType) -> int:
+    """Order of the Weyl group, by explicit enumeration (rank <= 5)."""
+    return len(_weyl_elements(t))
+
+
+def longest_element_negation(t: LieType) -> NodePermutation:
+    """Node permutation induced by X -> -(w0 X), found by brute force.
+
+    Enumerates the Weyl group as the closure of the simple reflections and
+    locates the unique element sending every positive root to a negative
+    one; negating its action permutes the simple roots.
+    """
+    longest = [w for w in _weyl_elements(t) if all(all(c <= 0 for c in img) for img in w)]
+    assert len(longest) == 1, "the longest element must be unique"
+    images = []
+    for img in longest[0]:
+        negated = tuple(-c for c in img)
+        assert sum(negated) == 1 and all(c in (0, 1) for c in negated), (
+            "-w0 must permute the simple roots"
+        )
+        images.append(negated.index(1) + 1)
+    return NodePermutation(tuple(images))
 
 
 # ---------------------------------------------------------------------------

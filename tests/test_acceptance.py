@@ -6,7 +6,13 @@ criterion (a failed assertion marks the criterion failed).
 
 from __future__ import annotations
 
-from conftest import antipodal_equations, database_specs, matching_equations, solution_dimension
+from conftest import (
+    antipodal_equations,
+    database_specs,
+    longest_element_negation,
+    matching_equations,
+    solution_dimension,
+)
 
 from ahrank.catalog import (
     ADMITTING_FAMILIES,
@@ -25,7 +31,7 @@ from ahrank.cones import (
 )
 from ahrank.decision import Verdict, decide, embed_obstruction
 from ahrank.notation import parse, render
-from ahrank.rootsys import LieType, iota, longest_element_negation
+from ahrank.rootsys import LieType, iota
 from ahrank.satake import RealFormSpec, real_rank, satake_of
 
 

@@ -14,7 +14,6 @@ from ahrank.catalog import (
     TABLE2,
     anomaly_scan,
     example_verdict,
-    instantiate,
     row_verdict,
     table1_predicted_anomalies,
     verify_table1,
@@ -22,6 +21,7 @@ from ahrank.catalog import (
 )
 from ahrank.cones import a_hyperbolic_rank
 from ahrank.decision import Verdict
+from ahrank.notation import parse
 from ahrank.satake import RealFormSpec, real_rank, satake_of
 
 
@@ -130,9 +130,9 @@ def test_admitting_family_sweep():
 
 
 def test_instantiate_row_example():
-    # one worked instance of the odd orthogonal row
-    g = instantiate("so(2n+1-2s-2t, 2s+2t)", {"n": 3, "a": 2, "s": 1, "t": 0})
-    h = instantiate("u(a-s,s) x so(2n-2a+1-2t, 2t)", {"n": 3, "a": 2, "s": 1, "t": 0})
+    # one worked instance of the odd orthogonal row, parsed from its templates
+    g = parse("so(2n+1-2s-2t, 2s+2t)", {"n": 3, "a": 2, "s": 1, "t": 0})
+    h = parse("u(a-s,s) x so(2n-2a+1-2t, 2t)", {"n": 3, "a": 2, "s": 1, "t": 0})
     from ahrank.cones import rank_profile
     from ahrank.decision import decide
 
@@ -161,16 +161,16 @@ def test_bounds_validated():
 
 def test_round_trip_over_catalog_templates():
     from ahrank.catalog import _instances
-    from ahrank.notation import parse, render
+    from ahrank.notation import render
 
     algebras = []
     for row in TABLE2 + DISPUTED_ENTRIES + (OPEN_CASE,):
         for params in _instances(row, 4):
-            algebras.append(instantiate(row.g_template, params))
-            algebras.append(instantiate(row.h_template, params))
+            algebras.append(parse(row.g_template, params))
+            algebras.append(parse(row.h_template, params))
     for family in NO_COMPACT_FORM_FAMILIES + ADMITTING_FAMILIES:
-        algebras.append(instantiate(family.g_template, family.smallest))
-        algebras.append(instantiate(family.h_template, family.smallest))
+        algebras.append(parse(family.g_template, family.smallest))
+        algebras.append(parse(family.h_template, family.smallest))
     assert algebras
     for algebra in algebras:
         assert parse(render(algebra)) == algebra

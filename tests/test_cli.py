@@ -124,6 +124,12 @@ def test_unclosed_quotient_group_exit_2(capsys, text, position):
     assert f"unclosed quotient group (position {position})" in err
 
 
+def test_overlong_integer_literal_exit_2(capsys):
+    code, _out, err = run(capsys, "rank", "sl(" + "9" * 5000 + ",R)")
+    assert code == 2
+    assert "integer literal longer than 4300 digits (position 3)" in err
+
+
 def test_not_a_subgroup_exit_1(capsys):
     code, _out, err = run(capsys, "decide", "so(3,4)", "e8(VIII)")
     assert code == 1

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from conftest import (
     antipodal_equations,
-    canonical_types,
+    iota_fixed,
     iota_pairs,
+    matches,
     matching_equations,
     solution_dimension,
     union_find_partition,
@@ -18,12 +19,10 @@ from ahrank.cones import (
     a_hyperbolic_rank,
     antipodal_classes,
     b_plus_generators,
-    iota_fixed,
-    matches,
     matching_classes,
     rank_profile,
 )
-from ahrank.rootsys import LieType, iota
+from ahrank.rootsys import LieType, canonical_types, iota
 from ahrank.satake import RealFormSpec, complex_as_real, real_forms, real_rank, satake_of
 
 
