@@ -31,11 +31,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .cones import ReductiveAlgebra, a_hyperbolic_rank, factor_profile, rank_profile
+from .cones import ReductiveAlgebra, factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
 from .rootsys import canonical_types
-from .satake import RealFormSpec, real_forms, real_rank, satake_of
+from .satake import RealFormSpec, real_forms, satake_of
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,6 @@ class RankTableRow:
     label: str
     spec_of: Callable[[int], RealFormSpec]
     expected: Callable[[int], tuple[int, int]]  # (a-hyperbolic, real)
-    complex_rank: Callable[[int], int]
     k_min: int = 1
 
 
@@ -57,35 +56,30 @@ TABLE1_FAMILIES: tuple[RankTableRow, ...] = (
         "sl(2k,R)",
         lambda k: RealFormSpec("sl_R", (2 * k,)),
         lambda k: (k, 2 * k - 1),
-        lambda k: 2 * k - 1,
     ),
     RankTableRow(
         "rank table, row 2",
         "sl(2k+1,R)",
         lambda k: RealFormSpec("sl_R", (2 * k + 1,)),
         lambda k: (k, 2 * k),
-        lambda k: 2 * k,
     ),
     RankTableRow(
         "rank table, row 3",
         "su*(4k)",
         lambda k: RealFormSpec("su_star", (4 * k,)),
         lambda k: (k, 2 * k - 1),
-        lambda k: 4 * k - 1,
     ),
     RankTableRow(
         "rank table, row 4",
         "su*(4k+2)",
         lambda k: RealFormSpec("su_star", (4 * k + 2,)),
         lambda k: (k, 2 * k),
-        lambda k: 4 * k + 1,
     ),
     RankTableRow(
         "rank table, row 5",
         "so(2k+1,2k+1)",
         lambda k: RealFormSpec("so_pq", (2 * k + 1, 2 * k + 1)),
         lambda k: (2 * k, 2 * k + 1),
-        lambda k: 2 * k + 1,
         k_min=2,
     ),
 )
@@ -118,29 +112,26 @@ class VerificationReport:
         }
 
 
-def _computed_ranks(spec: RealFormSpec) -> tuple[int, int]:
-    d = satake_of(spec)
-    return a_hyperbolic_rank(d), real_rank(d)
-
-
 def verify_table1(k_max: int) -> VerificationReport:
     """Check both rank columns of every Table 1 family for k up to k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    cases = itertools.chain(
+        (
+            (row.source, (k,), row.spec_of(k), row.expected(k))
+            for row in TABLE1_FAMILIES
+            for k in range(row.k_min, k_max + 1)
+        ),
+        ((f"rank table, {label}", (), spec, want) for label, spec, want in TABLE1_EXCEPTIONAL),
+    )
     failures = []
     instances = 0
-    for row in TABLE1_FAMILIES:
-        for k in range(row.k_min, k_max + 1):
-            instances += 1
-            got = _computed_ranks(row.spec_of(k))
-            want = row.expected(k)
-            if got != want:
-                failures.append((row.source, (k,), got, want))
-    for label, spec, want in TABLE1_EXCEPTIONAL:
+    for source, params, spec, want in cases:
         instances += 1
-        got = _computed_ranks(spec)
+        profile = factor_profile(spec)
+        got = (profile.a_hyperbolic_rank, profile.real_rank)
         if got != want:
-            failures.append((f"rank table, {label}", (), got, want))
+            failures.append((source, params, got, want))
     return VerificationReport(
         rows_checked=len(TABLE1_FAMILIES) + len(TABLE1_EXCEPTIONAL),
         instances_checked=instances,
@@ -161,8 +152,8 @@ def anomaly_scan(rank_bound: int) -> tuple[RealFormSpec, ...]:
     found = []
     for t in canonical_types(rank_bound):
         for spec in real_forms(t):
-            ahyp, real = _computed_ranks(spec)
-            if ahyp != real:
+            profile = factor_profile(spec)
+            if profile.a_hyperbolic_rank != profile.real_rank:
                 found.append(spec)
     return tuple(sorted(found, key=lambda s: (s.family, s.params)))
 
@@ -173,13 +164,16 @@ def table1_predicted_anomalies(rank_bound: int) -> tuple[RealFormSpec, ...]:
     predicted = []
     for row in TABLE1_FAMILIES:
         k = row.k_min
-        while row.complex_rank(k) <= rank_bound:
+        while satake_of(row.spec_of(k)).lie_type.rank <= rank_bound:
             ahyp, real = row.expected(k)
             if ahyp != real:
                 predicted.append(row.spec_of(k))
             k += 1
-    if rank_bound >= 6:
-        predicted.extend(spec for _, spec, _ in TABLE1_EXCEPTIONAL)
+    predicted.extend(
+        spec
+        for _, spec, _ in TABLE1_EXCEPTIONAL
+        if satake_of(spec).lie_type.rank <= rank_bound
+    )
     return tuple(sorted(predicted, key=lambda s: (s.family, s.params)))
 
 

@@ -28,15 +28,10 @@ from .catalog import (
     verify_table1,
     verify_table2,
 )
-from .cones import (
-    ReductiveAlgebra,
-    a_hyperbolic_rank,
-    b_plus_generators,
-    rank_profile,
-)
+from .cones import ReductiveAlgebra, b_plus_generators, factor_profile, rank_profile
 from .decision import NotASubgroupPairError, decide, embed_obstruction
 from .notation import ParseError, parse_expression, render
-from .satake import InvalidRealFormError, ascii_diagram, export, real_rank, satake_of
+from .satake import InvalidRealFormError, RealFormSpec, ascii_diagram, export, satake_of
 
 
 def _params_arg(text: str) -> dict[str, int]:
@@ -148,22 +143,24 @@ def _cmd_embed_check(args) -> int:
     return 0
 
 
-def _single_diagram(record):
+def _single_factor(record) -> RealFormSpec:
     alg: ReductiveAlgebra = record.algebra
     if len(alg.simple_factors) != 1 or alg.compact_center_dim or alg.split_center_dim:
         raise InvalidRealFormError(
             f"expected a single simple factor, got {render(alg)!r}"
         )
-    return satake_of(alg.simple_factors[0])
+    return alg.simple_factors[0]
 
 
 def _cmd_satake_show(args) -> int:
     record = parse_expression(args.form, args.params)
-    diagram = _single_diagram(record)
+    spec = _single_factor(record)
+    diagram = satake_of(spec)
+    profile = factor_profile(spec)
     payload = export(diagram)
     payload["form"] = render(record.algebra)
-    payload["real_rank"] = real_rank(diagram)
-    payload["a_hyperbolic_rank"] = a_hyperbolic_rank(diagram)
+    payload["real_rank"] = profile.real_rank
+    payload["a_hyperbolic_rank"] = profile.a_hyperbolic_rank
     text = f"{render(record.algebra)}\n{ascii_diagram(diagram)}"
     _emit(args, payload, text)
     return 0
@@ -171,8 +168,7 @@ def _cmd_satake_show(args) -> int:
 
 def _cmd_orbits(args) -> int:
     record = parse_expression(args.form, args.params)
-    diagram = _single_diagram(record)
-    generators = b_plus_generators(diagram)
+    generators = b_plus_generators(satake_of(_single_factor(record)))
     payload = {
         "form": render(record.algebra),
         "generators": [list(g.weights) for g in generators],

@@ -33,9 +33,6 @@ class NodePartition:
     def free_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, f in zip(self.classes, self.forced) if not f)
 
-    def forced_zero(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c, f in zip(self.classes, self.forced) if f)
-
     @property
     def free_count(self) -> int:
         return self.forced.count(False)

@@ -69,42 +69,38 @@ class NotASubgroupPairError(ValueError):
     subgroup of g."""
 
 
+#: The conditions in evaluation order: (condition, lhs, op, rhs, verdict),
+#: with lhs and rhs naming a rank of g and of h.
+_CONDITIONS = (
+    ("A", "real_rank", "==", "real_rank", Verdict.NO_INFINITE_DISCONTINUOUS),
+    ("B", "a_hyperbolic_rank", "==", "a_hyperbolic_rank", Verdict.NO_NON_VIRTUALLY_ABELIAN),
+    ("C", "a_hyperbolic_rank", ">", "real_rank", Verdict.ADMITS_NON_VIRTUALLY_ABELIAN),
+)
+
+#: The ranks an obstruction can name, in the order ``decide`` reports them.
+_RANK_NAMES = {"real_rank": "real rank", "a_hyperbolic_rank": "a-hyperbolic rank"}
+
+
 def decide(g: RankProfile, h: RankProfile) -> Decision:
     """Evaluate conditions (A), (B), (C) in order; the first that holds
-    fixes the verdict, and every evaluated comparison is recorded."""
-    if h.real_rank > g.real_rank:
-        raise NotASubgroupPairError(
-            f"real rank of h ({h.real_rank}) exceeds real rank of g "
-            f"({g.real_rank}); closed reductive subgroups never exceed the "
-            "ambient real rank"
-        )
-    if h.a_hyperbolic_rank > g.a_hyperbolic_rank:
-        raise NotASubgroupPairError(
-            f"a-hyperbolic rank of h ({h.a_hyperbolic_rank}) exceeds "
-            f"a-hyperbolic rank of g ({g.a_hyperbolic_rank}); closed "
-            "reductive subgroups never exceed the ambient a-hyperbolic rank"
-        )
+    fixes the verdict, and every evaluated comparison is recorded.  A pair
+    that ``embed_obstruction`` rejects raises ``NotASubgroupPairError``,
+    naming the real rank before the a-hyperbolic rank."""
+    witnesses = embed_obstruction(g, h).witnesses
+    for field, rank in _RANK_NAMES.items():
+        if field in witnesses:
+            raise NotASubgroupPairError(
+                f"{rank} of h ({getattr(h, field)}) exceeds {rank} of g "
+                f"({getattr(g, field)}); closed reductive subgroups never exceed "
+                f"the ambient {rank}"
+            )
     trace = []
-    step_a = TraceStep("A", g.real_rank, "==", h.real_rank, g.real_rank == h.real_rank)
-    trace.append(step_a)
-    if step_a.holds:
-        return Decision(Verdict.NO_INFINITE_DISCONTINUOUS, tuple(trace))
-    step_b = TraceStep(
-        "B",
-        g.a_hyperbolic_rank,
-        "==",
-        h.a_hyperbolic_rank,
-        g.a_hyperbolic_rank == h.a_hyperbolic_rank,
-    )
-    trace.append(step_b)
-    if step_b.holds:
-        return Decision(Verdict.NO_NON_VIRTUALLY_ABELIAN, tuple(trace))
-    step_c = TraceStep(
-        "C", g.a_hyperbolic_rank, ">", h.real_rank, g.a_hyperbolic_rank > h.real_rank
-    )
-    trace.append(step_c)
-    if step_c.holds:
-        return Decision(Verdict.ADMITS_NON_VIRTUALLY_ABELIAN, tuple(trace))
+    for condition, lhs_field, op, rhs_field, verdict in _CONDITIONS:
+        lhs, rhs = getattr(g, lhs_field), getattr(h, rhs_field)
+        holds = lhs == rhs if op == "==" else lhs > rhs
+        trace.append(TraceStep(condition, lhs, op, rhs, holds))
+        if holds:
+            return Decision(verdict, tuple(trace))
     return Decision(Verdict.UNDETERMINED, tuple(trace))
 
 
@@ -114,11 +110,6 @@ class Obstruction:
 
     obstructed: bool
     witnesses: tuple[str, ...]
-
-    @property
-    def witness(self) -> str | None:
-        """First failing inequality, or None when unobstructed."""
-        return self.witnesses[0] if self.witnesses else None
 
     def to_dict(self) -> dict:
         return {"obstructed": self.obstructed, "witnesses": list(self.witnesses)}

@@ -40,18 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cones import ReductiveAlgebra
-from .satake import RealFormSpec
+from .satake import EXCEPTIONAL, RealFormSpec
 
 _UNICODE_LETTERS = {"ℝ": "r", "ℂ": "c", "ℍ": "h", "ℤ": "z"}
 _FIELDS = {"r", "c", "h"}
-_ROMAN = {"i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix"}
-_EXCEPTIONAL_FORMS = {
-    ("e", 6): {"i", "ii", "iii", "iv"},
-    ("e", 7): {"v", "vi", "vii"},
-    ("e", 8): {"viii", "ix"},
-    ("f", 4): {"i", "ii"},
-    ("g", 2): set(),
-}
+#: Lookups derived from ``satake.EXCEPTIONAL``: the exceptional types as
+#: (lower-case letter, rank), every form label ("c" for a complex algebra
+#: viewed as real), and each lower-case family label ("e6_iv") to its family.
+_EXCEPTIONAL_TYPES = {(letter.lower(), rank) for letter, rank, _, _ in EXCEPTIONAL.values()}
+_FORM_LABELS = {family.partition("_")[2].lower() for family in EXCEPTIONAL} | {"c"}
+_EXCEPTIONAL_FAMILY = {family.lower(): family for family in EXCEPTIONAL}
 #: Longest integer literal accepted: Python's default limit on converting a
 #: decimal string to int, past which ``int()`` itself raises.
 _MAX_INT_DIGITS = 4300
@@ -414,15 +412,12 @@ class _Parser:
             self._contrib_su(p, q)
 
     def _contrib_exceptional(self, letter: str, rank: int, form: str | None, pos: int) -> None:
-        allowed = _EXCEPTIONAL_FORMS[(letter, rank)]
         if form is None:
             self._add(f"compact_{letter.upper()}", rank)
         elif form == "c":
             self._add(f"complex_{letter.upper()}", rank)
-        elif form == "split" and letter == "g":
-            self._add("g2_split")
-        elif form in allowed:
-            self._add(f"{letter}{rank}_{form.upper()}")
+        elif (family := _EXCEPTIONAL_FAMILY.get(f"{letter}{rank}_{form}")) is not None:
+            self._add(family)
         else:
             raise ParseError(f"unknown form {form!r} for {letter}{rank}", pos)
 
@@ -491,7 +486,7 @@ class _Parser:
         if rank_token.kind != "INT":
             raise ParseError(f"unknown atom {token.text!r}", token.pos)
         rank = int(rank_token.text)
-        if (token.text, rank) not in _EXCEPTIONAL_FORMS:
+        if (token.text, rank) not in _EXCEPTIONAL_TYPES:
             raise ParseError(f"unknown exceptional type {token.text}{rank}", token.pos)
         self.advance()
         form = None
@@ -499,9 +494,7 @@ class _Parser:
         if nxt.kind == "SYM" and nxt.text == "(":
             self.advance()
             form_token = self.peek()
-            if form_token.kind != "NAME" or not (
-                form_token.text in _ROMAN or form_token.text in ("split", "c")
-            ):
+            if form_token.kind != "NAME" or form_token.text not in _FORM_LABELS:
                 raise ParseError(
                     f"expected a form label for {token.text}{rank}", form_token.pos
                 )
@@ -602,8 +595,6 @@ def _render_factor(spec: RealFormSpec) -> str:
         }
         return names[letter][0 if kind == "compact" else 1]
     head, _, form = family.partition("_")  # exceptional real forms: e6_IV etc.
-    if form == "split":
-        return f"{head}(split)"
     return f"{head}({form})"
 
 

@@ -116,13 +116,6 @@ class NodePermutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
-    def __call__(self, node: int) -> int:
-        return self.images[node - 1]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(image == i + 1 for i, image in enumerate(self.images))
-
 
 def canonical_types(rank_bound: int) -> list[LieType]:
     """Every simple type up to the rank bound, once per isomorphism class:

@@ -42,15 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rootsys import LieType, cartan_matrix
-
-EXCEPTIONAL_FAMILIES = (
-    "e6_I", "e6_II", "e6_III", "e6_IV",
-    "e7_V", "e7_VI", "e7_VII",
-    "e8_VIII", "e8_IX",
-    "f4_I", "f4_II",
-    "g2_split",
-)
+from .rootsys import LieType, cartan_matrix, iota
 
 
 class InvalidRealFormError(ValueError):
@@ -90,9 +82,6 @@ class SatakeDiagram:
 
     def nodes(self) -> range:
         return range(1, self.node_count + 1)
-
-    def white_nodes(self) -> frozenset[int]:
-        return frozenset(self.nodes()) - self.black
 
 
 def _sorted_pairs(pairs) -> frozenset[tuple[int, int]]:
@@ -167,9 +156,11 @@ def _so_star(m: int) -> SatakeDiagram:
     )
 
 
-# Exceptional diagrams: (type, black nodes, arrow pairs) in chain-first
-# numbering (E-series branch node carries the highest index).
-_EXCEPTIONAL = {
+#: The exceptional real forms, in enumeration order: family label to
+#: (series letter, rank, black nodes, arrow pairs) in chain-first numbering
+#: (the E-series branch node carries the highest index).  The label after
+#: the underscore is the form's name in the input language.
+EXCEPTIONAL = {
     "e6_I": ("E", 6, (), ()),
     "e6_II": ("E", 6, (), ((1, 5), (2, 4))),
     "e6_III": ("E", 6, (2, 3, 4), ((1, 5),)),
@@ -205,9 +196,9 @@ def _compact(letter: str, rank: int) -> SatakeDiagram:
 def satake_of(spec: RealFormSpec) -> SatakeDiagram:
     """Satake diagram of a real form, built from its family constructor."""
     family, params = spec.family, spec.params
-    if family in _EXCEPTIONAL:
+    if family in EXCEPTIONAL:
         _require(params == (), f"{family} takes no parameters, got {params}")
-        letter, rank, black, arrows = _EXCEPTIONAL[family]
+        letter, rank, black, arrows = EXCEPTIONAL[family]
         return SatakeDiagram(
             LieType(letter, rank), black=frozenset(black), arrows=_sorted_pairs(arrows)
         )
@@ -233,45 +224,34 @@ def satake_of(spec: RealFormSpec) -> SatakeDiagram:
 # ---------------------------------------------------------------------------
 # validation
 
-def _full_cartan(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
-    base = cartan_matrix(d.lie_type)
+def _automorphisms(d: SatakeDiagram) -> list[tuple[int, ...]]:
+    """Every node permutation preserving the Cartan matrix, as 1-based image
+    tuples: -w0 where it is nontrivial (A_n, D_odd, E6), the D_n fork swap
+    and D4 triality, applied per copy on doubled diagrams, with or without
+    swapping the copies.  A diagram without bonds (rank one, D2 and their
+    doubles) is isolated nodes, so every permutation of its nodes counts."""
+    t, n = d.lie_type, d.lie_type.rank
+    if n == 1 or (t.letter == "D" and n == 2):
+        return list(itertools.permutations(d.nodes()))
+    identity = tuple(range(1, n + 1))
+    own = {identity, iota(t).images}
+    if t.letter == "D":
+        own.add(identity[:-2] + (n, n - 1))
+        if n == 4:
+            own.update((a, 2, b, c) for a, b, c in itertools.permutations((1, 3, 4)))
     if d.components == 1:
-        return base
-    n = d.lie_type.rank
-    size = 2 * n
-    full = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            full[i][j] = base[i][j]
-            full[n + i][n + j] = base[i][j]
-    return tuple(tuple(row) for row in full)
-
-
-def _extends_to_automorphism(d: SatakeDiagram) -> bool:
-    """Whether the arrow involution (identity on unmatched whites) extends to
-    a Cartan-matrix automorphism of the whole diagram by some permutation of
-    the black nodes."""
-    cartan = _full_cartan(d)
-    fixed: dict[int, int] = {i: i for i in d.white_nodes()}
-    for i, j in d.arrows:
-        fixed[i] = j
-        fixed[j] = i
-    blacks = sorted(d.black)
-    nodes = list(d.nodes())
-    for image in itertools.permutations(blacks):
-        perm = dict(fixed)
-        perm.update(zip(blacks, image))
-        if all(
-            cartan[perm[i] - 1][perm[j] - 1] == cartan[i - 1][j - 1]
-            for i in nodes
-            for j in nodes
-        ):
-            return True
-    return False
+        return sorted(own)
+    shifted = {p: tuple(n + i for i in p) for p in own}
+    return [a + b for p in own for q in own for a, b in ((p, shifted[q]), (shifted[p], q))]
 
 
 def validate(d: SatakeDiagram) -> list[str]:
-    """Check the diagram invariants; returns a list of violations (empty = ok)."""
+    """Check the diagram invariants; returns a list of violations (empty = ok).
+
+    Black nodes and arrow endpoints must be nodes of the diagram, arrows
+    must join distinct white nodes in a perfect matching of their support,
+    and the arrow involution (the identity on unmatched white nodes) must
+    agree with some diagram automorphism on the white nodes."""
     problems = []
     nodes = set(d.nodes())
     if not set(d.black) <= nodes:
@@ -293,8 +273,15 @@ def validate(d: SatakeDiagram) -> list[str]:
     if d.components not in (1, 2):
         problems.append("components must be 1 or 2")
         structural_ok = False
-    if structural_ok and not problems and not _extends_to_automorphism(d):
-        problems.append("arrow not an automorphism")
+    if structural_ok and not problems:
+        target = {i: i for i in d.nodes() if i not in d.black}
+        for i, j in d.arrows:
+            target[i], target[j] = j, i
+        if not any(
+            all(perm[i - 1] == image for i, image in target.items())
+            for perm in _automorphisms(d)
+        ):
+            problems.append("arrow not an automorphism")
     return problems
 
 
@@ -331,14 +318,13 @@ def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
         forms.extend(RealFormSpec("so_pq", (p, total - p)) for p in range(1, n + 1))
         forms.append(RealFormSpec("so_star", (total,)))
         forms.append(RealFormSpec("compact_D", (n,)))
-    elif t.letter == "E":
-        numerals = {6: ("I", "II", "III", "IV"), 7: ("V", "VI", "VII"), 8: ("VIII", "IX")}
-        forms.extend(RealFormSpec(f"e{n}_{numeral}") for numeral in numerals[n])
-        forms.append(RealFormSpec("compact_E", (n,)))
-    elif t.letter == "F":
-        forms.extend((RealFormSpec("f4_I"), RealFormSpec("f4_II"), RealFormSpec("compact_F", (4,))))
     else:
-        forms.extend((RealFormSpec("g2_split"), RealFormSpec("compact_G", (2,))))
+        forms.extend(
+            RealFormSpec(family)
+            for family, (letter, rank, _, _) in EXCEPTIONAL.items()
+            if (letter, rank) == (t.letter, n)
+        )
+        forms.append(RealFormSpec(f"compact_{t.letter}", (n,)))
     return tuple(forms)
 
 

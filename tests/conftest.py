@@ -16,13 +16,13 @@ from ahrank.rootsys import LieType, NodePermutation, canonical_types, cartan_mat
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
 
-def database_specs(rank_bound: int = 9, complex_rank_bound: int = 4) -> list[RealFormSpec]:
+def database_specs(rank_bound: int = 9, doubled_rank_bound: int = 4) -> list[RealFormSpec]:
     """Every real form of every canonical simple type up to the rank bound,
     plus complex algebras viewed as real up to the component rank bound."""
     specs: list[RealFormSpec] = []
     for t in canonical_types(rank_bound):
         specs.extend(real_forms(t))
-    for t in canonical_types(complex_rank_bound):
+    for t in canonical_types(doubled_rank_bound):
         specs.append(RealFormSpec(f"complex_{t.letter}", (t.rank,)))
     return specs
 
@@ -75,12 +75,12 @@ def matching_equations(d: SatakeDiagram) -> list[list[int]]:
 def iota_pairs(d: SatakeDiagram) -> list[tuple[int, int]]:
     """Node pairs exchanged by the longest-element involution, per component."""
     n = d.lie_type.rank
-    sigma = iota(d.lie_type)
+    images = iota(d.lie_type).images
     return [
-        (offset + i, offset + sigma(i))
+        (offset + i, offset + images[i - 1])
         for offset in range(0, d.node_count, n)
         for i in range(1, n + 1)
-        if sigma(i) > i
+        if images[i - 1] > i
     ]
 
 
@@ -151,18 +151,22 @@ WEYL_ENUMERATION_BOUND = 5
 
 def compose(p: NodePermutation, q: NodePermutation) -> NodePermutation:
     """The permutation applying q first, then p."""
-    return NodePermutation(tuple(p(q(i)) for i in range(1, len(q.images) + 1)))
+    return NodePermutation(tuple(p.images[j - 1] for j in q.images))
 
 
-def is_cartan_automorphism(t: LieType, perm: NodePermutation) -> bool:
-    """Whether the node permutation preserves the Cartan matrix of t."""
+def is_cartan_automorphism(t: LieType, images: tuple[int, ...]) -> bool:
+    """Whether the node permutation, given by its 1-based images, preserves
+    the Cartan matrix of t, or of the doubled diagram (two copies of t, the
+    second numbered after the first) when it moves twice as many nodes."""
     cartan = cartan_matrix(t)
     n = t.rank
-    return all(
-        cartan[perm(i) - 1][perm(j) - 1] == cartan[i - 1][j - 1]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
+
+    def entry(i: int, j: int) -> int:
+        same_copy = (i - 1) // n == (j - 1) // n
+        return cartan[(i - 1) % n][(j - 1) % n] if same_copy else 0
+
+    nodes = range(1, len(images) + 1)
+    return all(entry(images[i - 1], images[j - 1]) == entry(i, j) for i in nodes for j in nodes)
 
 
 def _reflect(cartan: tuple[tuple[int, ...], ...], v: tuple[int, ...], i: int) -> tuple[int, ...]:

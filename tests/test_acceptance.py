@@ -118,7 +118,7 @@ def test_acceptance_8_rank_one_nonexistence():
     for g_expr in ("e6(IV)", "so*(6)", "sl(3,R)"):
         g = rank_profile(parse(g_expr))
         assert g.a_hyperbolic_rank == 1
-        for spec in database_specs(rank_bound=9, complex_rank_bound=4):
+        for spec in database_specs(rank_bound=9, doubled_rank_bound=4):
             h = factor_profile(spec)
             if h.real_rank == 0:  # compact h is outside this criterion
                 continue
@@ -136,7 +136,7 @@ def test_acceptance_8_rank_one_nonexistence():
 
 def test_acceptance_9_dual_path_rank_equality():
     count = 0
-    for spec in database_specs(rank_bound=9, complex_rank_bound=4):
+    for spec in database_specs(rank_bound=9, doubled_rank_bound=4):
         d = satake_of(spec)
         n = d.node_count
         assert solution_dimension(n, matching_equations(d)) == real_rank(d), spec

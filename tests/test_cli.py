@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ahrank.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -165,3 +170,35 @@ def test_stripped_warning_shown(capsys):
     code, out, _ = run(capsys, "rank", "{SL(3,C) x SU(2,1)}/Z3")
     assert code == 0
     assert "stripped" in out
+
+
+def _readme_examples() -> list[tuple[str, str]]:
+    """Each "$ ahrank ..." line in README's text blocks with the lines that
+    follow it, up to a blank line, the next prompt or the block's end."""
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        command = None
+        for line in block.splitlines() + [""]:
+            if line.startswith("$ ahrank "):
+                command, output = line[len("$ ahrank "):], []
+            elif command is not None and line and not line.startswith("$"):
+                output.append(line)
+            elif command is not None:
+                examples.append((command, "\n".join(output) + "\n"))
+                command = None
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) == 4
+
+
+@pytest.mark.parametrize("command,expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_output(capsys, command, expected):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert err == ""
+    assert out == expected

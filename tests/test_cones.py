@@ -36,7 +36,8 @@ def test_matching_classes_split():
 def test_matching_classes_e6_iv():
     part = matching_classes(satake_of(RealFormSpec("e6_IV")))
     assert part.free_classes() == ((1,), (5,))
-    assert sorted(sum(part.forced_zero(), ())) == [2, 3, 4, 6]
+    forced = [node for cls, f in zip(part.classes, part.forced) if f for node in cls]
+    assert sorted(forced) == [2, 3, 4, 6]
 
 
 def test_matching_classes_su12():
@@ -102,7 +103,8 @@ def test_ahyp_at_most_real(database):
 
 def test_trivial_involution_gives_equality(database):
     for spec, diagram in database:
-        if iota(diagram.lie_type).is_identity:
+        images = iota(diagram.lie_type).images
+        if images == tuple(range(1, len(images) + 1)):
             assert a_hyperbolic_rank(diagram) == real_rank(diagram), spec
 
 

@@ -56,11 +56,29 @@ def test_condition_b():
     assert [s.condition for s in decision.trace] == ["A", "B"]
 
 
+REAL_RANK_MESSAGE = (
+    "real rank of h ({h}) exceeds real rank of g ({g}); closed reductive "
+    "subgroups never exceed the ambient real rank"
+)
+AHYP_RANK_MESSAGE = (
+    "a-hyperbolic rank of h ({h}) exceeds a-hyperbolic rank of g ({g}); closed "
+    "reductive subgroups never exceed the ambient a-hyperbolic rank"
+)
+
+
 def test_subgroup_pair_preconditions():
-    with pytest.raises(NotASubgroupPairError):
-        decide(RankProfile(3, 3), RankProfile(8, 8))
-    with pytest.raises(NotASubgroupPairError):
-        decide(RankProfile(5, 1), RankProfile(4, 2))
+    cases = [
+        # only the real rank dominates
+        (RankProfile(2, 2), RankProfile(3, 2), REAL_RANK_MESSAGE.format(h=3, g=2)),
+        # only the a-hyperbolic rank dominates
+        (RankProfile(5, 1), RankProfile(4, 2), AHYP_RANK_MESSAGE.format(h=2, g=1)),
+        # both dominate: the real rank is named
+        (RankProfile(3, 3), RankProfile(8, 8), REAL_RANK_MESSAGE.format(h=8, g=3)),
+    ]
+    for g, h, message in cases:
+        with pytest.raises(NotASubgroupPairError) as err:
+            decide(g, h)
+        assert str(err.value) == message
 
 
 def test_decision_serialization():
@@ -110,8 +128,7 @@ def test_obstruction_witness_real_rank():
     obstruction = embed_obstruction(RankProfile(2, 2), RankProfile(3, 2))
     assert obstruction.obstructed
     assert obstruction.witnesses == ("real_rank",)
-    assert obstruction.witness == "real_rank"
-    assert embed_obstruction(RankProfile(3, 2), RankProfile(2, 2)).witness is None
+    assert embed_obstruction(RankProfile(3, 2), RankProfile(2, 2)).witnesses == ()
 
 
 def test_rank_one_groups_never_admit(database):

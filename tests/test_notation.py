@@ -166,6 +166,11 @@ def test_parse_render_round_trip(text):
         ("sp(-2,R)", "negative dimension", 2),
         ("e6(V)", "unknown form", 0),
         ("e5", "unknown exceptional type", 0),
+        ("g2(I)", "unknown form 'i' for g2", 0),
+        ("e6(split)", "unknown form 'split' for e6", 0),
+        ("f4(III)", "unknown form 'iii' for f4", 0),
+        ("e6(4)", "expected a form label for e6", 3),
+        ("e9(I)", "unknown exceptional type e9", 0),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):

@@ -142,15 +142,15 @@ def test_iota_matches_weyl_descent():
 @pytest.mark.parametrize("t", ALL_SMALL_TYPES, ids=str)
 def test_iota_involution_and_automorphism(t):
     sigma = iota(t)
-    assert compose(sigma, sigma).is_identity
-    assert is_cartan_automorphism(t, sigma)
+    assert compose(sigma, sigma).images == tuple(range(1, t.rank + 1))
+    assert is_cartan_automorphism(t, sigma.images)
 
 
 def test_iota_closed_forms():
     assert iota(LieType("A", 5)).images == (5, 4, 3, 2, 1)
     assert iota(LieType("E", 6)).images == (5, 4, 3, 2, 1, 6)
-    assert iota(LieType("F", 4)).is_identity
-    assert iota(LieType("D", 4)).is_identity
+    assert iota(LieType("F", 4)).images == (1, 2, 3, 4)
+    assert iota(LieType("D", 4)).images == (1, 2, 3, 4)
     assert iota(LieType("D", 5)).images == (1, 2, 3, 5, 4)
 
 

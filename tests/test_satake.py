@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 
 import pytest
+from conftest import is_cartan_automorphism
 
-from ahrank.rootsys import LieType
+from ahrank.rootsys import SERIES, LieType
 from ahrank.satake import (
     InvalidRealFormError,
     RealFormSpec,
     SatakeDiagram,
+    _automorphisms,
     ascii_diagram,
     complex_as_real,
     export,
@@ -25,7 +29,7 @@ def test_e6_iv_diagram():
     d = satake_of(RealFormSpec("e6_IV"))
     assert d.lie_type == LieType("E", 6)
     assert d.black == frozenset({2, 3, 4, 6})
-    assert d.white_nodes() == frozenset({1, 5})
+    assert frozenset(d.nodes()) - d.black == frozenset({1, 5})
     assert d.arrows == frozenset()
 
 
@@ -95,6 +99,54 @@ def test_validate_out_of_range():
     assert "black node out of range" in validate(bad)
     bad = SatakeDiagram(LieType("A", 3), arrows=frozenset({(2, 9)}))
     assert "arrow endpoints invalid" in validate(bad)
+
+
+def _types_up_to(rank_bound):
+    """Every accepted type of rank <= rank_bound, low-rank duplicates such as
+    D2, D3, B1, C1, B2 and C2 included."""
+    types = []
+    for letter, rank in itertools.product(SERIES, range(1, rank_bound + 1)):
+        try:
+            types.append(LieType(letter, rank))
+        except ValueError:
+            continue
+    return types
+
+
+@pytest.mark.parametrize(
+    "t,components",
+    [(t, 1) for t in _types_up_to(6) + [LieType("E", 7)]]
+    + [(t, 2) for t in _types_up_to(3)],
+    ids=lambda value: str(value),
+)
+def test_automorphisms_match_brute_force(t, components):
+    # the closed-form list must be exactly the Cartan-preserving node
+    # permutations found by trying every permutation
+    d = SatakeDiagram(t, components=components)
+    found = _automorphisms(d)
+    brute = {
+        images
+        for images in itertools.permutations(d.nodes())
+        if is_cartan_automorphism(t, images)
+    }
+    assert len(found) == len(set(found))
+    assert set(found) == brute
+
+
+def test_validate_cost_bounded_by_automorphisms():
+    # ten black nodes: a search over permutations of the black nodes would
+    # try up to 10! candidates; the automorphism list has two
+    su_1_12 = SatakeDiagram(
+        LieType("A", 12), black=frozenset(range(2, 12)), arrows=frozenset({(1, 12)})
+    )
+    assert su_1_12 == satake_of(RealFormSpec("su_pq", (1, 12)))
+    swapped_end = SatakeDiagram(
+        LieType("A", 12), black=frozenset(range(3, 13)), arrows=frozenset({(1, 2)})
+    )
+    start = time.perf_counter()
+    assert validate(su_1_12) == []
+    assert validate(swapped_end) == ["arrow not an automorphism"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_real_rank_examples():
@@ -173,8 +225,16 @@ def test_real_forms_enumeration():
         RealFormSpec("su_pq", (2, 2)),
         RealFormSpec("compact_A", (3,)),
     }
-    g2_forms = real_forms(LieType("G", 2))
-    assert set(g2_forms) == {RealFormSpec("g2_split"), RealFormSpec("compact_G", (2,))}
+    # the exceptional forms, in the order of satake.EXCEPTIONAL
+    expected = {
+        LieType("E", 6): ["e6_I", "e6_II", "e6_III", "e6_IV", "compact_E(6)"],
+        LieType("E", 7): ["e7_V", "e7_VI", "e7_VII", "compact_E(7)"],
+        LieType("E", 8): ["e8_VIII", "e8_IX", "compact_E(8)"],
+        LieType("F", 4): ["f4_I", "f4_II", "compact_F(4)"],
+        LieType("G", 2): ["g2_split", "compact_G(2)"],
+    }
+    for t, names in expected.items():
+        assert [str(spec) for spec in real_forms(t)] == names, t
 
 
 def test_exceptional_real_ranks():
