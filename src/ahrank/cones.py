@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .rootsys import iota
-from .satake import RealFormSpec, SatakeDiagram, real_rank, satake_of
+from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,18 @@ class RankProfile:
 @dataclass(frozen=True)
 class ReductiveAlgebra:
     """A reductive real Lie algebra: simple factors plus abelian center,
-    the center split into compact and split dimensions.  Factors are kept
-    sorted, so two algebras with the same factor list compare equal in any
-    order.  Isomorphic factors in different presentations (su(1,2) and
-    su(2,1), so(5) and sp(2)) still compare unequal; see ROADMAP item 2."""
+    the center split into compact and split dimensions.  Each factor is
+    replaced by its ``satake.canonical`` image and the factors are kept
+    sorted, so isomorphic algebras compare equal, hash equal and render
+    equal, however they were built."""
 
     simple_factors: tuple[RealFormSpec, ...] = ()
     compact_center_dim: int = 0
     split_center_dim: int = 0
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.simple_factors, key=lambda s: (s.family, s.params)))
+        factors = (image for spec in self.simple_factors for image in canonical(spec))
+        ordered = tuple(sorted(factors, key=lambda s: (s.family, s.params)))
         object.__setattr__(self, "simple_factors", ordered)
         if self.compact_center_dim < 0 or self.split_center_dim < 0:
             raise ValueError("center dimensions must be nonnegative")

@@ -27,12 +27,11 @@ that does not affect the Lie algebra.  Anything stripped this way is
 reported on the record returned by :func:`parse_expression`.  A quotient
 group left unclosed is a parse error.
 
-Normalizations applied while parsing: so(2) = T^1, so(1,1) = R^1,
-so(2,2) = sl(2,R) x sl(2,R), so(3,1) = sl(2,C), so(4) = su(2) x su(2),
-so*(2) = T^1, sp(1,R) = sl(2,R), su*(2) = su(2), sl(n,H) = su*(2n),
-u(p,q) = su(p,q) x T^1, S(U(p,q) x U(1)) = su(p,q) x T^1, and the
-low-rank complex identities so(2,C) = T^1 x R^1, so(3,C) = sl(2,C),
-so(4,C) = sl(2,C) x sl(2,C), sp(1,C) = sl(2,C).
+Normalizations applied while parsing: the abelian cases so(2) = so*(2) =
+T^1, so(1,1) = R^1 and so(2,C) = T^1 x R^1, sl(n,H) = su*(2n), u(p,q) =
+su(p,q) x T^1 and S(U(p,q) x U(1)) = su(p,q) x T^1.  Every other
+isomorphism (su(2,1) = su(1,2), so(4) = su(2) x su(2), ...) is decided
+by ``satake.canonical`` when the algebra is built.
 """
 
 from __future__ import annotations
@@ -291,23 +290,18 @@ class _Parser:
     def _add(self, family: str, *params: int) -> None:
         self.factors.append(RealFormSpec(family, tuple(params)))
 
-    def _contrib_su_compact(self, n: int) -> None:
-        if n >= 2:
-            self._add("compact_A", n - 1)
-
-    def _contrib_su(self, p: int, q: int) -> None:
-        if min(p, q) == 0:
-            self._contrib_su_compact(p + q)
-        elif p + q >= 2:
+    def _contrib_su(self, p: int, q: int | None) -> None:
+        if q is None or min(p, q) == 0:
+            n = p if q is None else p + q
+            if n >= 2:
+                self._add("compact_A", n - 1)
+        else:
             self._add("su_pq", p, q)
 
     def _contrib_su_star(self, m: int, pos: int) -> None:
         if m % 2 or m == 0:
             raise ParseError(f"su* takes a positive even argument, got {m}", pos)
-        if m == 2:
-            self._contrib_su_compact(2)
-        else:
-            self._add("su_star", m)
+        self._add("su_star", m)
 
     def _contrib_sl(self, n: int, field: str | None, pos: int) -> None:
         if field is None:
@@ -323,52 +317,23 @@ class _Parser:
         else:  # quaternionic: sl(n,H) = su*(2n)
             self._contrib_su_star(2 * n, pos)
 
-    def _contrib_so_compact(self, n: int) -> None:
-        if n <= 1:
-            return
+    def _contrib_so_n(self, kind: str, n: int) -> None:
+        """so(n) for kind "compact", so(n,C) for kind "complex"; so(2) = T^1
+        and so(2,C) = T^1 x R^1."""
         if n == 2:
             self.compact_center += 1
-        elif n == 3:
-            self._add("compact_B", 1)
-        elif n == 4:
-            self._add("compact_A", 1)
-            self._add("compact_A", 1)
-        elif n % 2:
-            self._add("compact_B", n // 2)
-        else:
-            self._add("compact_D", n // 2)
-
-    def _contrib_so_complex(self, n: int) -> None:
-        if n <= 1:
-            return
-        if n == 2:
-            self.compact_center += 1
-            self.split_center += 1
-        elif n == 3:
-            self._add("complex_A", 1)
-        elif n == 4:
-            self._add("complex_A", 1)
-            self._add("complex_A", 1)
-        elif n % 2:
-            self._add("complex_B", n // 2)
-        else:
-            self._add("complex_D", n // 2)
+            if kind == "complex":
+                self.split_center += 1
+        elif n >= 3:
+            self._add(f"{kind}_{'B' if n % 2 else 'D'}", n // 2)
 
     def _contrib_so(self, p: int, q: int | None, field: str | None) -> None:
         if field == "c":
-            self._contrib_so_complex(p)
-            return
-        if q is None or min(p, q) == 0:
-            self._contrib_so_compact(p if q is None else p + q)
-            return
-        pair = (min(p, q), max(p, q))
-        if pair == (1, 1):
+            self._contrib_so_n("complex", p)
+        elif q is None or min(p, q) == 0:
+            self._contrib_so_n("compact", p if q is None else p + q)
+        elif p == q == 1:  # so(1,1) = R^1
             self.split_center += 1
-        elif pair == (2, 2):
-            self._add("sl_R", 2)
-            self._add("sl_R", 2)
-        elif pair == (1, 3):
-            self._add("complex_A", 1)
         else:
             self._add("so_pq", p, q)
 
@@ -383,17 +348,9 @@ class _Parser:
             self._add("so_star", m)
 
     def _contrib_sp(self, p: int, q: int | None, field: str | None) -> None:
-        if field == "r":
-            if p == 1:
-                self._add("sl_R", 2)
-            elif p >= 2:
-                self._add("sp_R", p)
-            return
-        if field == "c":
-            if p == 1:
-                self._add("complex_A", 1)
-            elif p >= 2:
-                self._add("complex_C", p)
+        if field is not None:
+            if p >= 1:
+                self._add("sp_R" if field == "r" else "complex_C", p)
             return
         if q is None or min(p, q) == 0:
             n = p if q is None else p + q
@@ -406,10 +363,7 @@ class _Parser:
         total = p if q is None else p + q
         if total >= 1:
             self.compact_center += 1
-        if q is None:
-            self._contrib_su_compact(p)
-        else:
-            self._contrib_su(p, q)
+        self._contrib_su(p, q)
 
     def _contrib_exceptional(self, letter: str, rank: int, form: str | None, pos: int) -> None:
         if form is None:
@@ -442,10 +396,7 @@ class _Parser:
             self._contrib_su_star(m, token.pos)
         elif name == "su":
             p, q, _ = self._args(name)
-            if q is None:
-                self._contrib_su_compact(p)
-            else:
-                self._contrib_su(p, q)
+            self._contrib_su(p, q)
         elif name == "so*":
             m, second, _ = self._args(name)
             if second is not None:
@@ -515,10 +466,7 @@ class _Parser:
                 raise ParseError("S(...) expects U(...) factors", inner.pos)
             self.advance()
             p, q, _ = self._args("u")
-            if q is None:
-                self._contrib_su_compact(p)
-            else:
-                self._contrib_su(p, q)
+            self._contrib_su(p, q)
             count += 1
             self._skip_structural()
             if self._at_separator():

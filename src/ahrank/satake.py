@@ -156,6 +156,9 @@ def _so_star(m: int) -> SatakeDiagram:
     )
 
 
+_ONE_PARAM = {"sl_R": _sl_R, "su_star": _su_star, "sp_R": _sp_R, "so_star": _so_star}
+_TWO_PARAM = {"su_pq": _su_pq, "so_pq": _so_pq, "sp_pq": _sp_pq}
+
 #: The exceptional real forms, in enumeration order: family label to
 #: (series letter, rank, black nodes, arrow pairs) in chain-first numbering
 #: (the E-series branch node carries the highest index).  The label after
@@ -202,14 +205,12 @@ def satake_of(spec: RealFormSpec) -> SatakeDiagram:
         return SatakeDiagram(
             LieType(letter, rank), black=frozenset(black), arrows=_sorted_pairs(arrows)
         )
-    one_param = {"sl_R": _sl_R, "su_star": _su_star, "sp_R": _sp_R, "so_star": _so_star}
-    two_param = {"su_pq": _su_pq, "so_pq": _so_pq, "sp_pq": _sp_pq}
-    if family in one_param:
+    if family in _ONE_PARAM:
         _require(len(params) == 1, f"{family} takes one parameter, got {params}")
-        return one_param[family](params[0])
-    if family in two_param:
+        return _ONE_PARAM[family](params[0])
+    if family in _TWO_PARAM:
         _require(len(params) == 2, f"{family} takes two parameters, got {params}")
-        return two_param[family](params[0], params[1])
+        return _TWO_PARAM[family](params[0], params[1])
     if family.startswith("compact_") or family.startswith("complex_"):
         kind, _, letter = family.partition("_")
         _require(len(params) == 1, f"{family} takes one parameter (the rank), got {params}")
@@ -291,11 +292,54 @@ def real_rank(d: SatakeDiagram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and export
+# isomorphism, enumeration and export
+
+#: Specs (parameters ascending) isomorphic to a product in another form: the
+#: forms of the types ``canonical_types`` leaves out (B1, C1 -> A1; C2 -> B2;
+#: D2 -> A1 x A1; D3 -> A3), su(1,1), su*(2) and so*(8) (D4 triality).
+_COINCIDENCES: dict[RealFormSpec, tuple[RealFormSpec, ...]] = {
+    RealFormSpec(family, params): tuple(RealFormSpec(*target) for target in targets)
+    for family, params, targets in (
+        ("so_pq", (1, 2), [("sl_R", (2,))]),
+        ("compact_B", (1,), [("compact_A", (1,))]),
+        ("complex_B", (1,), [("complex_A", (1,))]),
+        ("sp_R", (1,), [("sl_R", (2,))]),
+        ("compact_C", (1,), [("compact_A", (1,))]),
+        ("complex_C", (1,), [("complex_A", (1,))]),
+        ("sp_R", (2,), [("so_pq", (2, 3))]),
+        ("sp_pq", (1, 1), [("so_pq", (1, 4))]),
+        ("compact_C", (2,), [("compact_B", (2,))]),
+        ("complex_C", (2,), [("complex_B", (2,))]),
+        ("so_pq", (1, 3), [("complex_A", (1,))]),
+        ("so_pq", (2, 2), [("sl_R", (2,)), ("sl_R", (2,))]),
+        ("so_star", (4,), [("compact_A", (1,)), ("sl_R", (2,))]),
+        ("compact_D", (2,), [("compact_A", (1,)), ("compact_A", (1,))]),
+        ("complex_D", (2,), [("complex_A", (1,)), ("complex_A", (1,))]),
+        ("so_pq", (1, 5), [("su_star", (4,))]),
+        ("so_pq", (2, 4), [("su_pq", (2, 2))]),
+        ("so_pq", (3, 3), [("sl_R", (4,))]),
+        ("so_star", (6,), [("su_pq", (1, 3))]),
+        ("compact_D", (3,), [("compact_A", (3,))]),
+        ("complex_D", (3,), [("complex_A", (3,))]),
+        ("su_pq", (1, 1), [("sl_R", (2,))]),
+        ("su_star", (2,), [("compact_A", (1,))]),
+        ("so_star", (8,), [("so_pq", (2, 6))]),
+    )
+}
+
+
+def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
+    """One product of specs per isomorphism class: two parameters ascending,
+    then the ``_COINCIDENCES`` image; every result has a canonical type."""
+    if spec.family in _TWO_PARAM and spec.params != (ordered := tuple(sorted(spec.params))):
+        spec = RealFormSpec(spec.family, ordered)
+    return _COINCIDENCES.get(spec, (spec,))
+
 
 def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
-    """All real forms of a simple complex type, one spec per isomorphism
-    class in the standard presentation (compact form included)."""
+    """All real forms of a simple complex type, compact form included, each
+    its own ``canonical`` image, so each isomorphism class is listed once
+    over all types (types outside ``canonical_types`` list none)."""
     n = t.rank
     forms: list[RealFormSpec] = []
     if t.letter == "A":
@@ -325,7 +369,7 @@ def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
             if (letter, rank) == (t.letter, n)
         )
         forms.append(RealFormSpec(f"compact_{t.letter}", (n,)))
-    return tuple(forms)
+    return tuple(s for s in forms if s not in _COINCIDENCES)
 
 
 def export(d: SatakeDiagram) -> dict:

@@ -2,7 +2,9 @@
 for the engine's combinatorics that the package itself does not need: an
 exact linear-algebra rank oracle with cone membership tests for weight
 vectors, a union-find node-class oracle, root enumeration and a Weyl
-brute force for -w0 up to rank 5, and a Weyl-descent oracle for -w0."""
+brute force for -w0 up to rank 5, a Weyl-descent oracle for -w0, and a
+permutation search deciding whether two products of Satake diagrams are
+isomorphic."""
 
 from __future__ import annotations
 
@@ -285,3 +287,66 @@ def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
                 pending.append(j)
         steps += 1
     return NodePermutation(tuple(-label for label in weight)), steps
+
+
+# ---------------------------------------------------------------------------
+# Satake diagram isomorphism by permutation search
+
+#: isomorphic_diagrams() searches node permutations of products up to this size.
+ISOMORPHISM_NODE_BOUND = 8
+
+
+def _flatten(diagrams: list[SatakeDiagram]):
+    """Block Cartan matrix, black flags and arrow partners (each node its own
+    partner when it has no arrow) of a product of diagrams, with the nodes
+    numbered 0, 1, ... one diagram and one copy after another."""
+    cartan: list[list[int]] = []
+    black: list[bool] = []
+    partner: list[int] = []
+    for d in diagrams:
+        block = cartan_matrix(d.lie_type)
+        n = d.lie_type.rank
+        offset = len(black)
+        for copy in range(d.components):
+            for row in block:
+                left = [0] * (offset + copy * n)
+                cartan.append(left + list(row) + [0] * ((d.components - copy - 1) * n))
+        black.extend(node in d.black for node in d.nodes())
+        paired = dict(d.arrows) | {j: i for i, j in d.arrows}
+        partner.extend(offset + paired.get(node, node) - 1 for node in d.nodes())
+    size = len(black)
+    return [row + [0] * (size - len(row)) for row in cartan], black, partner
+
+
+def isomorphic_diagrams(left: list[SatakeDiagram], right: list[SatakeDiagram]) -> bool:
+    """Whether some node permutation carries the block Cartan matrix, the
+    black nodes and the arrows of one product of Satake diagrams onto the
+    other's.  Tries the permutations image by image, abandoning a partial
+    one as soon as a mapped pair of nodes disagrees."""
+    cartan_a, black_a, partner_a = _flatten(left)
+    cartan_b, black_b, partner_b = _flatten(right)
+    size = len(black_a)
+    if size > ISOMORPHISM_NODE_BOUND:
+        raise ValueError(f"isomorphism search supports <= {ISOMORPHISM_NODE_BOUND} nodes")
+    if size != len(black_b):
+        return False
+
+    def extend(image: list[int]) -> bool:
+        i = len(image)
+        if i == size:
+            return True
+        for x in range(size):
+            if x in image or black_b[x] != black_a[i]:
+                continue
+            image.append(x)
+            if (
+                all(cartan_b[x][image[k]] == cartan_a[i][k] for k in range(i + 1))
+                and all(cartan_b[image[k]][x] == cartan_a[k][i] for k in range(i))
+                and (partner_a[i] > i or partner_b[x] == image[partner_a[i]])
+                and extend(image)
+            ):
+                return True
+            image.pop()
+        return False
+
+    return extend([])

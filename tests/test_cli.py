@@ -147,6 +147,12 @@ def test_orbits_requires_single_factor(capsys):
     assert "single simple factor" in err
 
 
+def test_satake_show_rejects_split_so_star_4(capsys):
+    code, _out, err = run(capsys, "satake-show", "so*(4)")
+    assert code == 1
+    assert "expected a single simple factor, got 'su(2) x sl(2,R)'" in err
+
+
 def test_table1_passes(capsys):
     code, out, _ = run(capsys, "table1", "--kmax", "4")
     assert code == 0

@@ -129,9 +129,30 @@ def test_normalization_preserves_profiles():
 
 def test_render_sorted_canonical():
     assert render(parse("sl(7,R) x sl(3,R)")) == "sl(3,R) x sl(7,R)"
-    assert render(parse("u(2,1)")) == "su(2,1) x T^1"
+    assert render(parse("u(2,1)")) == "su(1,2) x T^1"
     assert render(parse("so(1,1) x T^2")) == "T^2 x R^1"
     assert render(parse("e6(IV) x f4")) == "f4 x e6(IV)"  # sorted by family label
+
+
+ISOMORPHIC_PAIRS = [
+    ("su(1,2)", "su(2,1)"), ("so(1,4)", "so(4,1)"), ("so(4)", "so(3) x so(3)"),
+    ("su(1,1)", "sl(2,R)"), ("so(2,3)", "sp(2,R)"), ("so(3,3)", "sl(4,R)"),
+    ("so(2,4)", "su(2,2)"), ("so*(6)", "su(3,1)"), ("so*(8)", "so(6,2)"),
+    ("su*(4)", "so(5,1)"), ("sp(1,1)", "so(4,1)"), ("so(5)", "sp(2)"), ("so(6)", "su(4)"),
+    ("so(5,C)", "sp(2,C)"), ("so(6,C)", "sl(4,C)"), ("so*(4)", "su(2) x sl(2,R)"),
+    ("so(3)", "su(2)"), ("sp(1)", "su(2)"), ("so(1,2)", "sl(2,R)"),
+]
+
+
+@pytest.mark.parametrize("left,right", ISOMORPHIC_PAIRS)
+def test_isomorphic_inputs_equal(left, right):
+    assert parse(left) == parse(right)
+    assert hash(parse(left)) == hash(parse(right))
+    assert render(parse(left)) == render(parse(right))
+
+
+def test_library_built_algebra_canonical():
+    assert ReductiveAlgebra((spec("su_pq", 2, 1),)) == parse("su(1,2)")
 
 
 ROUND_TRIP_CORPUS = [

@@ -7,15 +7,18 @@ import json
 import time
 
 import pytest
-from conftest import is_cartan_automorphism
+from conftest import is_cartan_automorphism, isomorphic_diagrams
 
-from ahrank.rootsys import SERIES, LieType
+from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
+    _COINCIDENCES,
+    EXCEPTIONAL,
     InvalidRealFormError,
     RealFormSpec,
     SatakeDiagram,
     _automorphisms,
     ascii_diagram,
+    canonical,
     complex_as_real,
     export,
     real_forms,
@@ -329,3 +332,55 @@ def test_ascii_diagram_smoke():
     assert "-2->" in art
     art = ascii_diagram(complex_as_real(LieType("A", 2)))
     assert "component 2:" in art and "1<->3" in art
+
+
+def _diagram(spec):
+    """satake_of, and for su*(2), which its domain leaves out, the su*(2n)
+    pattern (odd nodes black) at n = 1."""
+    if spec == RealFormSpec("su_star", (2,)):
+        return SatakeDiagram(LieType("A", 1), black=frozenset({1}))
+    return satake_of(spec)
+
+
+@pytest.mark.parametrize("source,targets", list(_COINCIDENCES.items()), ids=str)
+def test_coincidence_is_an_isomorphism(source, targets):
+    assert list(source.params) == sorted(source.params)
+    assert all(canonical(target) == (target,) for target in targets)
+    assert isomorphic_diagrams([_diagram(source)], [satake_of(t) for t in targets])
+
+
+def _presentations(rank_bound):
+    """Every spec in a family's domain whose type has rank <= rank_bound, in
+    both parameter orders, plus su*(2), which the parser builds outside the
+    su* domain."""
+    candidates = [RealFormSpec("su_star", (2,))] + [RealFormSpec(f) for f in EXCEPTIONAL]
+    for t in _types_up_to(rank_bound):
+        candidates += [RealFormSpec(f"{k}_{t.letter}", (t.rank,)) for k in ("compact", "complex")]
+    for family in ("sl_R", "su_star", "sp_R", "so_star"):
+        candidates += [RealFormSpec(family, (a,)) for a in range(10)]
+    for family in ("su_pq", "so_pq", "sp_pq"):
+        candidates += [RealFormSpec(family, pq) for pq in itertools.product(range(10), repeat=2)]
+    specs = []
+    for spec in candidates:
+        try:
+            if _diagram(spec).lie_type.rank <= rank_bound:
+                specs.append(spec)
+        except InvalidRealFormError:
+            continue
+    return specs
+
+
+def test_canonical_is_complete_up_to_rank_4():
+    # every presentation of every real form of every type of rank <= 4 (B1,
+    # C1, C2, D2, D3 and D4 included) goes to an isomorphic product of forms
+    # of canonical types, and no two distinct images are isomorphic: a
+    # missing _COINCIDENCES entry leaves a duplicate or a non-canonical type
+    images = {}
+    for spec in _presentations(4):
+        image = canonical(spec)
+        diagrams = [satake_of(s) for s in image]
+        assert all(d.lie_type in canonical_types(4) for d in diagrams), spec
+        assert isomorphic_diagrams([_diagram(spec)], diagrams), spec
+        images[image] = diagrams
+    for (a, da), (b, db) in itertools.combinations(images.items(), 2):
+        assert not isomorphic_diagrams(da, db), (a, b)
