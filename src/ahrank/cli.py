@@ -171,10 +171,10 @@ def _cmd_orbits(args) -> int:
     generators = b_plus_generators(satake_of(_single_factor(record)))
     payload = {
         "form": render(record.algebra),
-        "generators": [list(g.weights) for g in generators],
+        "generators": [list(g) for g in generators],
     }
     if generators:
-        text = "\n".join("(" + ",".join(str(w) for w in g.weights) + ")" for g in generators)
+        text = "\n".join("(" + ",".join(map(str, g)) + ")" for g in generators)
     else:
         text = "(none)"
     _emit(args, payload, text)

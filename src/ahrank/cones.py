@@ -1,7 +1,7 @@
 """Convex-cone combinatorics on Satake diagrams.
 
-Weighted Dynkin diagrams with nonnegative weights parametrize the closed
-Weyl chamber.  A weight vector "matches" a Satake diagram when black nodes
+Tuples of nonnegative node weights, in node order, parametrize the closed
+Weyl chamber.  A weight tuple "matches" a Satake diagram when black nodes
 carry weight 0 and arrow-paired nodes carry equal weights; the matching
 vectors form a simplicial cone whose dimension is the real rank.  Closing
 the node classes further under the longest-element involution cuts out the
@@ -94,26 +94,13 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     return antipodal_classes(d).free_count
 
 
-@dataclass(frozen=True)
-class WeightedDynkinDiagram:
-    """Nonnegative weights on diagram nodes, in node order."""
-
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(w < 0 for w in self.weights):
-            raise ValueError(f"weights must be nonnegative: {self.weights}")
-
-
-def b_plus_generators(d: SatakeDiagram) -> tuple[WeightedDynkinDiagram, ...]:
-    """Extreme rays of the involution-fixed cone, one 0/1 indicator diagram
+def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
+    """Extreme rays of the involution-fixed cone: one 0/1 node-weight tuple
     per free antipodal class, ordered by least node index."""
-    generators = []
-    for cls in antipodal_classes(d).free_classes():
-        members = set(cls)
-        weights = tuple(1 if node in members else 0 for node in d.nodes())
-        generators.append(WeightedDynkinDiagram(weights))
-    return tuple(generators)
+    return tuple(
+        tuple(int(node in cls) for node in d.nodes())
+        for cls in antipodal_classes(d).free_classes()
+    )
 
 
 @dataclass(frozen=True)
@@ -128,12 +115,6 @@ class RankProfile:
             raise ValueError(
                 f"need 0 <= a-hyperbolic rank <= real rank, got {self!r}"
             )
-
-    def __add__(self, other: "RankProfile") -> "RankProfile":
-        return RankProfile(
-            self.real_rank + other.real_rank,
-            self.a_hyperbolic_rank + other.a_hyperbolic_rank,
-        )
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,9 @@ def _tokenize(text: str) -> list[_Token]:
                 i += 1
             tokens.append(_Token("NAME", "".join(name), start))
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < length and text[i].isdigit():
+            while i < length and text[i].isdecimal():
                 i += 1
             if i - start > _MAX_INT_DIGITS:
                 raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", start)
@@ -185,10 +185,12 @@ class _Parser:
         if token.kind == "SYM" and token.text == "_":
             self.advance()
             token = self.peek()
-            if token.kind in ("INT", "NAME"):
-                self.advance()
-            elif token.kind == "SYM" and token.text == "{":
+            if token.kind == "SYM" and token.text == "{":
                 self._skip_group()
+            elif token.kind == "INT" or (token.kind == "NAME" and not self._at_separator()):
+                self.advance()
+            else:
+                raise ParseError("expected a subscript after '_'", token.pos)
         elif token.kind == "INT":
             self.advance()
 

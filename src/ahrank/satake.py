@@ -39,10 +39,9 @@ n+1..2n, with arrows (i, n+i).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .rootsys import LieType, cartan_matrix, iota
+from .rootsys import LieType, cartan_matrix
 
 
 class InvalidRealFormError(ValueError):
@@ -220,70 +219,6 @@ def satake_of(spec: RealFormSpec) -> SatakeDiagram:
             raise InvalidRealFormError(str(exc)) from exc
         return _compact(letter, params[0]) if kind == "compact" else complex_as_real(t)
     raise InvalidRealFormError(f"unknown real-form family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-def _automorphisms(d: SatakeDiagram) -> list[tuple[int, ...]]:
-    """Every node permutation preserving the Cartan matrix, as 1-based image
-    tuples: -w0 where it is nontrivial (A_n, D_odd, E6), the D_n fork swap
-    and D4 triality, applied per copy on doubled diagrams, with or without
-    swapping the copies.  A diagram without bonds (rank one, D2 and their
-    doubles) is isolated nodes, so every permutation of its nodes counts."""
-    t, n = d.lie_type, d.lie_type.rank
-    if n == 1 or (t.letter == "D" and n == 2):
-        return list(itertools.permutations(d.nodes()))
-    identity = tuple(range(1, n + 1))
-    own = {identity, iota(t).images}
-    if t.letter == "D":
-        own.add(identity[:-2] + (n, n - 1))
-        if n == 4:
-            own.update((a, 2, b, c) for a, b, c in itertools.permutations((1, 3, 4)))
-    if d.components == 1:
-        return sorted(own)
-    shifted = {p: tuple(n + i for i in p) for p in own}
-    return [a + b for p in own for q in own for a, b in ((p, shifted[q]), (shifted[p], q))]
-
-
-def validate(d: SatakeDiagram) -> list[str]:
-    """Check the diagram invariants; returns a list of violations (empty = ok).
-
-    Black nodes and arrow endpoints must be nodes of the diagram, arrows
-    must join distinct white nodes in a perfect matching of their support,
-    and the arrow involution (the identity on unmatched white nodes) must
-    agree with some diagram automorphism on the white nodes."""
-    problems = []
-    nodes = set(d.nodes())
-    if not set(d.black) <= nodes:
-        problems.append("black node out of range")
-    endpoints: set[int] = set()
-    structural_ok = True
-    for i, j in d.arrows:
-        if i == j or i not in nodes or j not in nodes:
-            problems.append("arrow endpoints invalid")
-            structural_ok = False
-            continue
-        if i in endpoints or j in endpoints:
-            problems.append("arrow support is not a perfect matching")
-            structural_ok = False
-        endpoints.update((i, j))
-        if i in d.black or j in d.black:
-            problems.append("arrow endpoint is black")
-            structural_ok = False
-    if d.components not in (1, 2):
-        problems.append("components must be 1 or 2")
-        structural_ok = False
-    if structural_ok and not problems:
-        target = {i: i for i in d.nodes() if i not in d.black}
-        for i, j in d.arrows:
-            target[i], target[j] = j, i
-        if not any(
-            all(perm[i - 1] == image for i, image in target.items())
-            for perm in _automorphisms(d)
-        ):
-            problems.append("arrow not an automorphism")
-    return problems
 
 
 def real_rank(d: SatakeDiagram) -> int:

@@ -1,19 +1,21 @@
 """Shared fixtures: the full diagram database, and independent oracles
-for the engine's combinatorics that the package itself does not need: an
-exact linear-algebra rank oracle with cone membership tests for weight
-vectors, a union-find node-class oracle, root enumeration and a Weyl
-brute force for -w0 up to rank 5, a Weyl-descent oracle for -w0, and a
-permutation search deciding whether two products of Satake diagrams are
-isomorphic."""
+for the engine's combinatorics that the package itself does not need: a
+diagram validator checking black nodes and arrows against the diagram
+automorphisms, an exact linear-algebra rank oracle with cone membership
+tests for weight tuples, a union-find node-class oracle, root enumeration
+and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
+-w0, and a permutation search deciding whether two products of Satake
+diagrams are isomorphic."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from ahrank.cones import NodePartition, WeightedDynkinDiagram
+from ahrank.cones import NodePartition
 from ahrank.rootsys import LieType, NodePermutation, canonical_types, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
@@ -32,6 +34,70 @@ def database_specs(rank_bound: int = 9, doubled_rank_bound: int = 4) -> list[Rea
 @pytest.fixture(scope="session")
 def database() -> list[tuple[RealFormSpec, SatakeDiagram]]:
     return [(spec, satake_of(spec)) for spec in database_specs()]
+
+
+# ---------------------------------------------------------------------------
+# diagram validator
+
+def _automorphisms(d: SatakeDiagram) -> list[tuple[int, ...]]:
+    """Every node permutation preserving the Cartan matrix, as 1-based image
+    tuples: -w0 where it is nontrivial (A_n, D_odd, E6), the D_n fork swap
+    and D4 triality, applied per copy on doubled diagrams, with or without
+    swapping the copies.  A diagram without bonds (rank one, D2 and their
+    doubles) is isolated nodes, so every permutation of its nodes counts."""
+    t, n = d.lie_type, d.lie_type.rank
+    if n == 1 or (t.letter == "D" and n == 2):
+        return list(itertools.permutations(d.nodes()))
+    identity = tuple(range(1, n + 1))
+    own = {identity, iota(t).images}
+    if t.letter == "D":
+        own.add(identity[:-2] + (n, n - 1))
+        if n == 4:
+            own.update((a, 2, b, c) for a, b, c in itertools.permutations((1, 3, 4)))
+    if d.components == 1:
+        return sorted(own)
+    shifted = {p: tuple(n + i for i in p) for p in own}
+    return [a + b for p in own for q in own for a, b in ((p, shifted[q]), (shifted[p], q))]
+
+
+def validate(d: SatakeDiagram) -> list[str]:
+    """Check the diagram invariants; returns a list of violations (empty = ok).
+
+    Black nodes and arrow endpoints must be nodes of the diagram, arrows
+    must join distinct white nodes in a perfect matching of their support,
+    and the arrow involution (the identity on unmatched white nodes) must
+    agree with some diagram automorphism on the white nodes."""
+    problems = []
+    nodes = set(d.nodes())
+    if not set(d.black) <= nodes:
+        problems.append("black node out of range")
+    endpoints: set[int] = set()
+    structural_ok = True
+    for i, j in d.arrows:
+        if i == j or i not in nodes or j not in nodes:
+            problems.append("arrow endpoints invalid")
+            structural_ok = False
+            continue
+        if i in endpoints or j in endpoints:
+            problems.append("arrow support is not a perfect matching")
+            structural_ok = False
+        endpoints.update((i, j))
+        if i in d.black or j in d.black:
+            problems.append("arrow endpoint is black")
+            structural_ok = False
+    if d.components not in (1, 2):
+        problems.append("components must be 1 or 2")
+        structural_ok = False
+    if structural_ok and not problems:
+        target = {i: i for i in d.nodes() if i not in d.black}
+        for i, j in d.arrows:
+            target[i], target[j] = j, i
+        if not any(
+            all(perm[i - 1] == image for i, image in target.items())
+            for perm in _automorphisms(d)
+        ):
+            problems.append("arrow not an automorphism")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +166,18 @@ def antipodal_equations(d: SatakeDiagram) -> list[list[int]]:
     return equations
 
 
-def matches(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
+def matches(w: tuple[int, ...], d: SatakeDiagram) -> bool:
     """Black nodes weigh 0 and arrow-paired nodes weigh the same."""
     return (
-        len(w.weights) == d.node_count
-        and all(w.weights[i - 1] == 0 for i in d.black)
-        and all(w.weights[i - 1] == w.weights[j - 1] for i, j in d.arrows)
+        len(w) == d.node_count
+        and all(w[i - 1] == 0 for i in d.black)
+        and all(w[i - 1] == w[j - 1] for i, j in d.arrows)
     )
 
 
-def iota_fixed(w: WeightedDynkinDiagram, d: SatakeDiagram) -> bool:
+def iota_fixed(w: tuple[int, ...], d: SatakeDiagram) -> bool:
     """Invariance under the longest-element involution, per component."""
-    return len(w.weights) == d.node_count and all(
-        w.weights[i - 1] == w.weights[j - 1] for i, j in iota_pairs(d)
-    )
+    return len(w) == d.node_count and all(w[i - 1] == w[j - 1] for i, j in iota_pairs(d))
 
 
 # ---------------------------------------------------------------------------

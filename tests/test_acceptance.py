@@ -66,7 +66,7 @@ def test_acceptance_2_anomaly_completeness():
 
 def test_acceptance_3_worked_example_generators():
     gens = b_plus_generators(satake_of(RealFormSpec("e6_IV")))
-    assert [g.weights for g in gens] == [(1, 0, 0, 0, 1, 0)]
+    assert list(gens) == [(1, 0, 0, 0, 1, 0)]
     print("ACCEPTANCE 3 PASS: antipodal-cone generator of e6(IV) is (1,0,0,0,1,0)")
 
 

@@ -1,14 +1,21 @@
-"""Command line: outputs, JSON/text agreement, exit codes."""
+"""Command line: outputs, JSON/text agreement, exit codes; README's
+command examples and its Library block."""
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import ahrank
 from ahrank.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -129,6 +136,20 @@ def test_unclosed_quotient_group_exit_2(capsys, text, position):
     assert f"unclosed quotient group (position {position})" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("T^²", "unexpected character '²' (position 2)"),
+        ("sl(2,R)/Z_", "expected a subscript after '_' (position 10)"),
+        ("sl(2,R)/Z_ x su(1,1)", "expected a subscript after '_' (position 11)"),
+    ],
+)
+def test_malformed_literal_or_subscript_exit_2(capsys, text, message):
+    code, _out, err = run(capsys, "rank", text)
+    assert code == 2
+    assert message in err
+
+
 def test_overlong_integer_literal_exit_2(capsys):
     code, _out, err = run(capsys, "rank", "sl(" + "9" * 5000 + ",R)")
     assert code == 2
@@ -208,3 +229,52 @@ def test_readme_example_output(capsys, command, expected):
     assert code == 0
     assert err == ""
     assert out == expected
+
+
+LIBRARY_BLOCK = re.search(
+    r"## Library\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S
+).group(1)
+
+
+def test_readme_library_block_runs_as_commented():
+    # the block runs, and each expression's value is what its comment says
+    namespace: dict = {}
+    values = []
+    for node in ast.parse(LIBRARY_BLOCK).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    comments = [line.split("# ", 1)[1] for line in LIBRARY_BLOCK.splitlines() if "# " in line]
+    verdict, ranks, generators = values
+    assert comments == ["'AdmitsNonVirtuallyAbelian'", "(6, 3)", "three 0/1 tuples"]
+    assert verdict == "AdmitsNonVirtuallyAbelian"
+    assert ranks == (6, 3)
+    assert len(generators) == 3
+    assert all(type(g) is tuple and set(g) <= {0, 1} for g in generators)
+
+
+def test_package_exports_exactly_readme_library_names():
+    imported = {
+        alias.name
+        for node in ast.parse(LIBRARY_BLOCK).body
+        if isinstance(node, ast.ImportFrom) and node.module == "ahrank"
+        for alias in node.names
+    }
+    exported = {
+        name
+        for name, value in vars(ahrank).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == imported
+
+
+def test_import_ahrank_leaves_catalog_unloaded():
+    src = str(Path(ahrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import ahrank, sys; print('ahrank.catalog' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\n"

@@ -74,7 +74,7 @@ def test_a_hyperbolic_rank_examples():
 
 def test_b_plus_generators_e6_iv():
     gens = b_plus_generators(satake_of(RealFormSpec("e6_IV")))
-    assert [g.weights for g in gens] == [(1, 0, 0, 0, 1, 0)]
+    assert list(gens) == [(1, 0, 0, 0, 1, 0)]
 
 
 def test_b_plus_generators_compact_empty():
@@ -83,7 +83,7 @@ def test_b_plus_generators_compact_empty():
 
 def test_b_plus_generators_split_a3():
     gens = b_plus_generators(satake_of(RealFormSpec("sl_R", (4,))))
-    assert [g.weights for g in gens] == [(1, 0, 1), (0, 1, 0)]
+    assert list(gens) == [(1, 0, 1), (0, 1, 0)]
 
 
 def test_generator_properties(database):
@@ -93,7 +93,7 @@ def test_generator_properties(database):
         for g in gens:
             assert matches(g, diagram), spec
             assert iota_fixed(g, diagram), spec
-            assert set(g.weights) <= {0, 1}
+            assert set(g) <= {0, 1}
 
 
 def test_ahyp_at_most_real(database):
@@ -151,10 +151,11 @@ def test_rank_profile_additive():
     left = (RealFormSpec("su_pq", (2, 3)), RealFormSpec("sp_R", (4,)))
     right = (RealFormSpec("e6_IV"), RealFormSpec("so_star", (10,)))
     combined = rank_profile(ReductiveAlgebra(left + right, 1, 2))
-    split = rank_profile(ReductiveAlgebra(left, 1, 0)) + rank_profile(
-        ReductiveAlgebra(right, 0, 2)
+    a = rank_profile(ReductiveAlgebra(left, 1, 0))
+    b = rank_profile(ReductiveAlgebra(right, 0, 2))
+    assert combined == RankProfile(
+        a.real_rank + b.real_rank, a.a_hyperbolic_rank + b.a_hyperbolic_rank
     )
-    assert combined == split
 
 
 def test_rank_profile_invariant():

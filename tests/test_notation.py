@@ -192,6 +192,10 @@ def test_parse_render_round_trip(text):
         ("f4(III)", "unknown form 'iii' for f4", 0),
         ("e6(4)", "expected a form label for e6", 3),
         ("e9(I)", "unknown exceptional type e9", 0),
+        ("T^²", "unexpected character '²'", 2),
+        ("sl(²,R)", "unexpected character '²'", 3),
+        ("sl(2,R)/Z_", "expected a subscript after '_'", 10),
+        ("sl(2,R)/Z_ x su(1,1)", "expected a subscript after '_'", 11),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):

@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from conftest import is_cartan_automorphism, isomorphic_diagrams
+from conftest import _automorphisms, is_cartan_automorphism, isomorphic_diagrams, validate
 
 from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
@@ -16,7 +16,6 @@ from ahrank.satake import (
     InvalidRealFormError,
     RealFormSpec,
     SatakeDiagram,
-    _automorphisms,
     ascii_diagram,
     canonical,
     complex_as_real,
@@ -24,7 +23,6 @@ from ahrank.satake import (
     real_forms,
     real_rank,
     satake_of,
-    validate,
 )
 
 
