@@ -22,12 +22,6 @@ import argparse
 import json
 import sys
 
-from .catalog import (
-    anomaly_scan,
-    table1_predicted_anomalies,
-    verify_table1,
-    verify_table2,
-)
 from .cones import ReductiveAlgebra, b_plus_generators, factor_profile, rank_profile
 from .decision import NotASubgroupPairError, decide, embed_obstruction
 from .notation import ParseError, parse_expression, render
@@ -187,6 +181,8 @@ def _report_exit(args, payload: dict, lines: list[str], passed: bool) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .catalog import verify_table1
+
     report = verify_table1(args.kmax)
     lines = [
         f"rank table: {report.instances_checked} instances over "
@@ -198,6 +194,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
+    from .catalog import verify_table2
+
     report = verify_table2(args.bound)
     lines = [
         f"3-symmetric table: {report.instances_checked} instances over "
@@ -210,6 +208,8 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_anomaly_scan(args) -> int:
+    from .catalog import anomaly_scan, table1_predicted_anomalies
+
     found = anomaly_scan(args.rank)
     predicted = table1_predicted_anomalies(args.rank)
     passed = set(found) == set(predicted)

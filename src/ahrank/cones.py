@@ -15,7 +15,7 @@ a split abelian center adds to the real rank only.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .rootsys import iota
@@ -38,17 +38,15 @@ class NodePartition:
         return self.forced.count(False)
 
 
-def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> NodePartition:
+def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> Iterator[list[int]]:
     """Orbits of the nodes under the arrow involution and ``sigma`` (a
     1-based node image array), found by one walk in increasing node order,
-    so each class starts at its least node."""
+    so each class starts at its least node.  Each class is yielded as an
+    unsorted list: counting needs no more."""
     arrow = list(range(d.node_count + 1))
     for i, j in d.arrows:
         arrow[i], arrow[j] = j, i
     seen = [False] * len(arrow)
-    black = d.black
-    classes = []
-    forced = []
     for node in d.nodes():
         if seen[node]:
             continue
@@ -63,22 +61,27 @@ def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> NodePartition:
             if not seen[image]:
                 seen[image] = True
                 cls.append(image)
-        cls.sort()
-        classes.append(tuple(cls))
-        forced.append(not black.isdisjoint(cls))
-    return NodePartition(tuple(classes), tuple(forced))
+        yield cls
+
+
+def _partition(d: SatakeDiagram, sigma: Sequence[int]) -> NodePartition:
+    classes = tuple(tuple(sorted(cls)) for cls in _orbits(d, sigma))
+    black = d.black
+    return NodePartition(classes, tuple(not black.isdisjoint(cls) for cls in classes))
 
 
 def matching_classes(d: SatakeDiagram) -> NodePartition:
     """Arrow-orbit classes; the free ones index a basis of the matching cone,
     so the free count equals the real rank."""
-    return _orbits(d, range(d.node_count + 1))
+    return _partition(d, range(d.node_count + 1))
 
 
-def _iota_image(d: SatakeDiagram) -> list[int]:
-    """1-based image array of the longest-element involution on the whole
-    diagram, applied per component on doubled diagrams (index 0 unused)."""
-    images = iota(d.lie_type).images
+def _iota_image(d: SatakeDiagram, images: tuple[int, ...]) -> list[int]:
+    """1-based image array of the longest-element involution ``images`` on
+    the whole diagram, applied per component on doubled diagrams (index 0
+    unused)."""
+    if d.components == 1:
+        return [0, *images]
     n = d.lie_type.rank
     return [0] + [offset + j for offset in range(0, d.node_count, n) for j in images]
 
@@ -86,12 +89,17 @@ def _iota_image(d: SatakeDiagram) -> list[int]:
 def antipodal_classes(d: SatakeDiagram) -> NodePartition:
     """Classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _orbits(d, _iota_image(d))
+    return _partition(d, _iota_image(d, iota(d.lie_type).images))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
-    """Dimension of the involution-fixed subcone: free antipodal classes."""
-    return antipodal_classes(d).free_count
+    """Dimension of the involution-fixed subcone: free antipodal classes,
+    counted without listing them.  Where the involution is the identity the
+    antipodal classes are the matching classes, so this is the real rank."""
+    images = iota(d.lie_type).images
+    if images == tuple(range(1, len(images) + 1)):
+        return real_rank(d)
+    return sum(map(d.black.isdisjoint, _orbits(d, _iota_image(d, images))))
 
 
 def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,7 @@ Braces and square brackets are transparent, and discrete-quotient
 suffixes ("/Z_n", "/{...}") are stripped: they carry group-level data
 that does not affect the Lie algebra.  Anything stripped this way is
 reported on the record returned by :func:`parse_expression`.  A quotient
-group left unclosed is a parse error.
+group left unclosed or empty, or missing after the '/', is a parse error.
 
 Normalizations applied while parsing: the abelian cases so(2) = so*(2) =
 T^1, so(1,1) = R^1 and so(2,C) = T^1 x R^1, sl(n,H) = su*(2n), u(p,q) =
@@ -178,7 +178,7 @@ class _Parser:
         if token.kind == "SYM" and token.text in "{[":
             self._skip_group()
             return
-        if token.kind != "NAME":
+        if token.kind != "NAME" or token.text == "x":
             raise ParseError("expected a discrete group after '/'", token.pos)
         self.advance()
         token = self.peek()
@@ -196,9 +196,11 @@ class _Parser:
 
     def _skip_group(self) -> None:
         """Skip a bracketed quotient group, from its opening bracket to the
-        matching close; an unclosed group is an error at its opening."""
+        matching close; an unclosed group, or one holding only brackets, is
+        an error at its opening."""
         opening = self.peek()
         depth = 0
+        empty = True
         while True:
             token = self.advance()
             if token.kind == "END":
@@ -208,7 +210,11 @@ class _Parser:
             elif token.kind == "SYM" and token.text in "}]":
                 depth -= 1
                 if depth == 0:
+                    if empty:
+                        raise ParseError("empty quotient group", opening.pos)
                     return
+            else:
+                empty = False
 
     def _at_separator(self) -> bool:
         token = self.peek()

@@ -144,7 +144,7 @@ def iota(t: LieType) -> NodePermutation:
     """
     n = t.rank
     if t.letter == "A":
-        return NodePermutation(tuple(n + 1 - i for i in range(1, n + 1)))
+        return NodePermutation(tuple(range(n, 0, -1)))
     if t.letter == "D" and n % 2 == 1:
         images = list(range(1, n + 1))
         images[n - 2], images[n - 1] = n, n - 1

@@ -142,6 +142,9 @@ def test_unclosed_quotient_group_exit_2(capsys, text, position):
         ("T^²", "unexpected character '²' (position 2)"),
         ("sl(2,R)/Z_", "expected a subscript after '_' (position 10)"),
         ("sl(2,R)/Z_ x su(1,1)", "expected a subscript after '_' (position 11)"),
+        ("sl(2,R)/ x su(2)", "expected a discrete group after '/' (position 9)"),
+        ("sl(2,R)/Z_{}", "empty quotient group (position 10)"),
+        ("sl(2,R)/{}", "empty quotient group (position 8)"),
     ],
 )
 def test_malformed_literal_or_subscript_exit_2(capsys, text, message):
@@ -269,12 +272,23 @@ def test_package_exports_exactly_readme_library_names():
     assert exported == imported
 
 
-def test_import_ahrank_leaves_catalog_unloaded():
+def _catalog_loaded_after(module: str) -> bool:
+    """Whether a fresh interpreter holds ``ahrank.catalog`` after importing
+    ``module``."""
     src = str(Path(ahrank.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import ahrank, sys; print('ahrank.catalog' in sys.modules)"
+    probe = f"import {module}, sys; print('ahrank.catalog' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout == "False\n"
+    return result.stdout == "True\n"
+
+
+def test_import_ahrank_leaves_catalog_unloaded():
+    assert not _catalog_loaded_after("ahrank")
+
+
+def test_import_cli_leaves_catalog_unloaded():
+    # only the table commands load the catalog, when they run
+    assert not _catalog_loaded_after("ahrank.cli")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from conftest import (
     antipodal_equations,
@@ -23,7 +25,14 @@ from ahrank.cones import (
     rank_profile,
 )
 from ahrank.rootsys import LieType, canonical_types, iota
-from ahrank.satake import RealFormSpec, complex_as_real, real_forms, real_rank, satake_of
+from ahrank.satake import (
+    RealFormSpec,
+    SatakeDiagram,
+    complex_as_real,
+    real_forms,
+    real_rank,
+    satake_of,
+)
 
 
 def test_matching_classes_split():
@@ -126,6 +135,22 @@ def test_classes_match_union_find_oracle():
         arrows = sorted(d.arrows)
         assert matching_classes(d) == union_find_partition(d, arrows), d
         assert antipodal_classes(d) == union_find_partition(d, arrows + iota_pairs(d)), d
+
+
+def test_count_only_rank_equals_listed_free_classes():
+    # a_hyperbolic_rank counts the classes that antipodal_classes lists; the
+    # types include every one where -w0 is the identity and no walk is made
+    # (B, C, even D, E7, E8, F4, G2), on their own and doubled
+    diagrams = [satake_of(spec) for t in canonical_types(40) for spec in real_forms(t)]
+    diagrams += [complex_as_real(t) for t in canonical_types(12)]
+    # black sets that -w0 does not preserve, so classes mix black and white
+    diagrams += [
+        SatakeDiagram(LieType("A", 5), black=frozenset(black))
+        for size in range(6)
+        for black in itertools.combinations(range(1, 6), size)
+    ]
+    for d in diagrams:
+        assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
 
 
 def test_complex_as_real_ranks():
