@@ -178,7 +178,7 @@ class _Parser:
         if token.kind == "SYM" and token.text in "{[":
             self._skip_group()
             return
-        if token.kind != "NAME" or token.text == "x":
+        if token.kind != "NAME" or self._at_separator():
             raise ParseError("expected a discrete group after '/'", token.pos)
         self.advance()
         token = self.peek()

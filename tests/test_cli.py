@@ -143,6 +143,7 @@ def test_unclosed_quotient_group_exit_2(capsys, text, position):
         ("sl(2,R)/Z_", "expected a subscript after '_' (position 10)"),
         ("sl(2,R)/Z_ x su(1,1)", "expected a subscript after '_' (position 11)"),
         ("sl(2,R)/ x su(2)", "expected a discrete group after '/' (position 9)"),
+        ("sl(2,R)/xsu(2)", "expected a discrete group after '/' (position 8)"),
         ("sl(2,R)/Z_{}", "empty quotient group (position 10)"),
         ("sl(2,R)/{}", "empty quotient group (position 8)"),
     ],
@@ -272,9 +273,9 @@ def test_package_exports_exactly_readme_library_names():
     assert exported == imported
 
 
-def _catalog_loaded_after(module: str) -> bool:
-    """Whether a fresh interpreter holds ``ahrank.catalog`` after importing
-    ``module``."""
+def _catalog_probe(module: str) -> str:
+    """What a fresh interpreter prints for whether it holds
+    ``ahrank.catalog`` after importing ``module``."""
     src = str(Path(ahrank.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -282,13 +283,13 @@ def _catalog_loaded_after(module: str) -> bool:
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    return result.stdout == "True\n"
+    return result.stdout
 
 
 def test_import_ahrank_leaves_catalog_unloaded():
-    assert not _catalog_loaded_after("ahrank")
+    assert _catalog_probe("ahrank") == "False\n"
 
 
 def test_import_cli_leaves_catalog_unloaded():
     # only the table commands load the catalog, when they run
-    assert not _catalog_loaded_after("ahrank.cli")
+    assert _catalog_probe("ahrank.cli") == "False\n"

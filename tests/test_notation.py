@@ -197,6 +197,7 @@ def test_parse_render_round_trip(text):
         ("sl(2,R)/Z_", "expected a subscript after '_'", 10),
         ("sl(2,R)/Z_ x su(1,1)", "expected a subscript after '_'", 11),
         ("sl(2,R)/ x su(2)", "expected a discrete group after '/'", 9),
+        ("sl(2,R)/xsu(2)", "expected a discrete group after '/'", 8),
         ("sl(2,R)/Z_{}", "empty quotient group", 10),
         ("sl(2,R)/{}", "empty quotient group", 8),
     ],
