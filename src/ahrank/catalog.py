@@ -28,26 +28,30 @@ silently dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .cones import ReductiveAlgebra, factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
-from .rootsys import canonical_types
+from .rootsys import Record, canonical_types
 from .satake import RealFormSpec, real_forms, satake_of
 
 
 # ---------------------------------------------------------------------------
 # Table 1: real forms with a-hyperbolic rank below the real rank
 
-@dataclass(frozen=True)
-class RankTableRow:
-    source: str
-    label: str
-    spec_of: Callable[[int], RealFormSpec]
-    expected: Callable[[int], tuple[int, int]]  # (a-hyperbolic, real)
-    k_min: int = 1
+class RankTableRow(Record):
+    __slots__ = ("source", "label", "spec_of", "expected", "k_min")
+
+    def __init__(
+        self,
+        source: str,
+        label: str,
+        spec_of: Callable[[int], RealFormSpec],
+        expected: Callable[[int], tuple[int, int]],  # (a-hyperbolic, real)
+        k_min: int = 1,
+    ) -> None:
+        Record.__init__(self, source, label, spec_of, expected, k_min)
 
 
 TABLE1_FAMILIES: tuple[RankTableRow, ...] = (
@@ -91,12 +95,8 @@ TABLE1_EXCEPTIONAL: tuple[tuple[str, RealFormSpec, tuple[int, int]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rows_checked: int
-    instances_checked: int
-    failures: tuple[tuple, ...] = ()
-    skips: tuple[tuple, ...] = ()
+class VerificationReport(Record):
+    __slots__ = ("rows_checked", "instances_checked", "failures", "skips")
 
     @property
     def passed(self) -> bool:
@@ -132,11 +132,8 @@ def verify_table1(k_max: int) -> VerificationReport:
         got = (profile.a_hyperbolic_rank, profile.real_rank)
         if got != want:
             failures.append((source, params, got, want))
-    return VerificationReport(
-        rows_checked=len(TABLE1_FAMILIES) + len(TABLE1_EXCEPTIONAL),
-        instances_checked=instances,
-        failures=tuple(failures),
-    )
+    rows = len(TABLE1_FAMILIES) + len(TABLE1_EXCEPTIONAL)
+    return VerificationReport(rows, instances, tuple(failures), ())
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +177,29 @@ def table1_predicted_anomalies(rank_bound: int) -> tuple[RealFormSpec, ...]:
 # ---------------------------------------------------------------------------
 # Table 2: noncompact simple 3-symmetric spaces
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(Record):
     """One row of the 3-symmetric table: algebra templates for G and H,
     parameter names with their encoded domain, and the expected verdict."""
 
-    source: str
-    g_template: str
-    h_template: str
-    param_names: tuple[str, ...] = ()
-    domain: Callable[..., bool] | None = None
-    expected: str = Verdict.ADMITS_NON_VIRTUALLY_ABELIAN.value
-    printed_constraints: str | None = None
-    note: str | None = None
+    __slots__ = (
+        "source", "g_template", "h_template", "param_names", "domain", "expected",
+        "printed_constraints", "note",
+    )
+
+    def __init__(
+        self,
+        source: str,
+        g_template: str,
+        h_template: str,
+        param_names: tuple[str, ...] = (),
+        domain: Callable[..., bool] | None = None,
+        expected: str = Verdict.ADMITS_NON_VIRTUALLY_ABELIAN.value,
+        printed_constraints: str | None = None,
+        note: str | None = None,
+    ) -> None:
+        Record.__init__(
+            self, source, g_template, h_template, param_names, domain, expected, printed_constraints, note
+        )
 
 
 def _row2_domain(n: int, a: int, s: int, t: int) -> bool:
@@ -433,29 +440,30 @@ def verify_table2(param_bound: int) -> VerificationReport:
                 failures.append(
                     (row.source, tuple(sorted(params.items())), verdict.value, row.expected)
                 )
-    return VerificationReport(
-        rows_checked=len(TABLE2) + len(DISPUTED_ENTRIES) + 1,
-        instances_checked=instances,
-        failures=tuple(failures),
-        skips=tuple(skips),
-    )
+    rows = len(TABLE2) + len(DISPUTED_ENTRIES) + 1
+    return VerificationReport(rows, instances, tuple(failures), tuple(skips))
 
 
 # ---------------------------------------------------------------------------
 # homogeneous-space example families
 
-@dataclass(frozen=True)
-class ExampleFamily:
+class ExampleFamily(Record):
     """A parameterized family of homogeneous spaces with a known verdict,
     plus the smallest parameter choice at which every factor is a genuine
     noncompact algebra."""
 
-    label: str
-    g_template: str
-    h_template: str
-    smallest: dict[str, int] = field(default_factory=dict)
-    expected: str = Verdict.ADMITS_NON_VIRTUALLY_ABELIAN.value
-    note: str | None = None
+    __slots__ = ("label", "g_template", "h_template", "smallest", "expected", "note")
+
+    def __init__(
+        self,
+        label: str,
+        g_template: str,
+        h_template: str,
+        smallest: dict[str, int],
+        expected: str = Verdict.ADMITS_NON_VIRTUALLY_ABELIAN.value,
+        note: str | None = None,
+    ) -> None:
+        Record.__init__(self, label, g_template, h_template, smallest, expected, note)
 
 
 NO_COMPACT_FORM_FAMILIES: tuple[ExampleFamily, ...] = (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cones import ReductiveAlgebra, b_plus_generators, factor_profile, rank_profile
@@ -59,9 +60,9 @@ def _rank_payload(expression: str, record) -> dict:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True), flush=True)
     else:
-        print(text)
+        print(text, flush=True)
 
 
 def _warn_discarded(record) -> str:
@@ -292,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (InvalidRealFormError, NotASubgroupPairError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout closed early; the exit flush then goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -16,19 +16,16 @@ a split abelian center adds to the real rank only.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
-from .rootsys import iota
+from .rootsys import Record, iota
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
-@dataclass(frozen=True)
-class NodePartition:
+class NodePartition(Record):
     """Partition of diagram nodes; a class is forced to weight zero exactly
     when it contains a black node.  Classes are sorted by least node."""
 
-    classes: tuple[tuple[int, ...], ...]
-    forced: tuple[bool, ...]
+    __slots__ = ("classes", "forced")
 
     def free_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, f in zip(self.classes, self.forced) if not f)
@@ -89,14 +86,14 @@ def _iota_image(d: SatakeDiagram, images: tuple[int, ...]) -> list[int]:
 def antipodal_classes(d: SatakeDiagram) -> NodePartition:
     """Classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _partition(d, _iota_image(d, iota(d.lie_type).images))
+    return _partition(d, _iota_image(d, iota(d.lie_type)))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     """Dimension of the involution-fixed subcone: free antipodal classes,
     counted without listing them.  Where the involution is the identity the
     antipodal classes are the matching classes, so this is the real rank."""
-    images = iota(d.lie_type).images
+    images = iota(d.lie_type)
     if images == tuple(range(1, len(images) + 1)):
         return real_rank(d)
     return sum(map(d.black.isdisjoint, _orbits(d, _iota_image(d, images))))
@@ -111,39 +108,43 @@ def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Record):
     """The pair (real rank, a-hyperbolic rank) of a reductive algebra."""
 
-    real_rank: int
-    a_hyperbolic_rank: int
+    __slots__ = ("real_rank", "a_hyperbolic_rank")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.a_hyperbolic_rank <= self.real_rank:
+    def __init__(self, real_rank: int, a_hyperbolic_rank: int) -> None:
+        object.__setattr__(self, "real_rank", real_rank)
+        object.__setattr__(self, "a_hyperbolic_rank", a_hyperbolic_rank)
+        if not 0 <= a_hyperbolic_rank <= real_rank:
             raise ValueError(
                 f"need 0 <= a-hyperbolic rank <= real rank, got {self!r}"
             )
 
 
-@dataclass(frozen=True)
-class ReductiveAlgebra:
+class ReductiveAlgebra(Record):
     """A reductive real Lie algebra: simple factors plus abelian center,
     the center split into compact and split dimensions.  Each factor is
     replaced by its ``satake.canonical`` image and the factors are kept
     sorted, so isomorphic algebras compare equal, hash equal and render
     equal, however they were built."""
 
-    simple_factors: tuple[RealFormSpec, ...] = ()
-    compact_center_dim: int = 0
-    split_center_dim: int = 0
+    __slots__ = ("simple_factors", "compact_center_dim", "split_center_dim")
 
-    def __post_init__(self) -> None:
-        factors = (image for spec in self.simple_factors for image in canonical(spec))
+    def __init__(
+        self,
+        simple_factors: tuple[RealFormSpec, ...] = (),
+        compact_center_dim: int = 0,
+        split_center_dim: int = 0,
+    ) -> None:
+        factors = (image for spec in simple_factors for image in canonical(spec))
         ordered = tuple(sorted(factors, key=lambda s: (s.family, s.params)))
         object.__setattr__(self, "simple_factors", ordered)
-        if self.compact_center_dim < 0 or self.split_center_dim < 0:
+        object.__setattr__(self, "compact_center_dim", compact_center_dim)
+        object.__setattr__(self, "split_center_dim", split_center_dim)
+        if compact_center_dim < 0 or split_center_dim < 0:
             raise ValueError("center dimensions must be nonnegative")
-        if not self.simple_factors and not (self.compact_center_dim or self.split_center_dim):
+        if not ordered and not (compact_center_dim or split_center_dim):
             raise ValueError("empty factor list requires a positive center dimension")
 
 

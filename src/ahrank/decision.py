@@ -20,9 +20,9 @@ closed reductive subgroup.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .cones import RankProfile
+from .rootsys import Record
 
 
 class Verdict(enum.Enum):
@@ -32,15 +32,10 @@ class Verdict(enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     """One comparison evaluated by the engine."""
 
-    condition: str
-    lhs: int
-    op: str
-    rhs: int
-    holds: bool
+    __slots__ = ("condition", "lhs", "op", "rhs", "holds")
 
     def to_dict(self) -> dict:
         return {
@@ -52,10 +47,8 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    trace: tuple[TraceStep, ...]
+class Decision(Record):
+    __slots__ = ("verdict", "trace")
 
     def to_dict(self) -> dict:
         return {
@@ -104,12 +97,10 @@ def decide(g: RankProfile, h: RankProfile) -> Decision:
     return Decision(Verdict.UNDETERMINED, tuple(trace))
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """Result of the embedding filter: which rank dominations fail."""
 
-    obstructed: bool
-    witnesses: tuple[str, ...]
+    __slots__ = ("obstructed", "witnesses")
 
     def to_dict(self) -> dict:
         return {"obstructed": self.obstructed, "witnesses": list(self.witnesses)}

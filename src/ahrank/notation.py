@@ -36,9 +36,8 @@ by ``satake.canonical`` when the algebra is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cones import ReductiveAlgebra
+from .rootsys import Record
 from .satake import EXCEPTIONAL, RealFormSpec
 
 _UNICODE_LETTERS = {"ℝ": "r", "ℂ": "c", "ℍ": "h", "ℤ": "z"}
@@ -63,21 +62,20 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class AlgebraExpression:
+class AlgebraExpression(Record):
     """A parsed expression together with the group-level data stripped from
     it (discrete quotients, grouping braces, covering prefixes)."""
 
-    source: str
-    algebra: ReductiveAlgebra
-    discarded: tuple[str, ...]
+    __slots__ = ("source", "algebra", "discarded")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, INT, SYM, END
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")  # kind: NAME, INT, SYM, END
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

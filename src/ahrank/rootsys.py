@@ -4,6 +4,8 @@ Cartan matrices, the list of types up to a rank bound with each isomorphism
 class once, and the closed form of the diagram involution induced by -w0
 (the negated longest Weyl element).  The root enumeration and Weyl group
 searches that check ``iota`` are test oracles in ``tests/conftest.py``.
+``Record``, the base of the package's value records, lives here, at the
+bottom of the package's imports.
 
 Node numbering
 --------------
@@ -28,14 +30,46 @@ Weight vectors are serialized in this node order throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 SERIES = "ABCDEFG"
 
 
-@dataclass(frozen=True, order=True)
-class LieType:
+class Record:
+    """Immutable value record: a subclass names its fields in ``__slots__``.
+    This ``__init__`` takes them by position; a class with defaults, checks
+    or a hot constructor sets them itself with ``object.__setattr__``.
+    Records of one class compare and hash by their field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class LieType(Record):
     """A simple complex type: series letter A-G plus rank.
 
     D2 and D3 are accepted (they coincide with A1 x A1 and A3) so that the
@@ -43,22 +77,23 @@ class LieType:
     out, with B1, C1 and C2.
     """
 
-    letter: str
-    rank: int
+    __slots__ = ("letter", "rank")
 
-    def __post_init__(self) -> None:
-        if self.letter not in SERIES:
-            raise ValueError(f"unknown series {self.letter!r}; expected one of {SERIES}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.letter == "D" and self.rank < 2:
+    def __init__(self, letter: str, rank: int) -> None:
+        if letter not in SERIES:
+            raise ValueError(f"unknown series {letter!r}; expected one of {SERIES}")
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if letter == "D" and rank < 2:
             raise ValueError("type D requires rank >= 2")
-        if self.letter == "E" and self.rank not in (6, 7, 8):
+        if letter == "E" and rank not in (6, 7, 8):
             raise ValueError("type E requires rank in {6, 7, 8}")
-        if self.letter == "F" and self.rank != 4:
+        if letter == "F" and rank != 4:
             raise ValueError("type F requires rank 4")
-        if self.letter == "G" and self.rank != 2:
+        if letter == "G" and rank != 2:
             raise ValueError("type G requires rank 2")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -106,17 +141,6 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
-class NodePermutation:
-    """Permutation of diagram nodes, stored as 1-based images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-
 def canonical_types(rank_bound: int) -> list[LieType]:
     """Every simple type up to the rank bound, once per isomorphism class:
     A >= 1, B >= 2, C >= 3, D >= 4 (lower ranks duplicate earlier series),
@@ -134,9 +158,9 @@ def canonical_types(rank_bound: int) -> list[LieType]:
     return types
 
 
-def iota(t: LieType) -> NodePermutation:
+def iota(t: LieType) -> tuple[int, ...]:
     """Closed form of the involution induced by negating the longest Weyl
-    element.
+    element, as the 1-based images of the nodes.
 
     Nontrivial exactly for A_n (chain reversal), D_n with n odd (fork
     swap), and E6 (chain reversal fixing the branch node); the identity for
@@ -144,11 +168,11 @@ def iota(t: LieType) -> NodePermutation:
     """
     n = t.rank
     if t.letter == "A":
-        return NodePermutation(tuple(range(n, 0, -1)))
+        return tuple(range(n, 0, -1))
     if t.letter == "D" and n % 2 == 1:
         images = list(range(1, n + 1))
         images[n - 2], images[n - 1] = n, n - 1
-        return NodePermutation(tuple(images))
+        return tuple(images)
     if t.letter == "E" and n == 6:
-        return NodePermutation((5, 4, 3, 2, 1, 6))
-    return NodePermutation(tuple(range(1, n + 1)))
+        return (5, 4, 3, 2, 1, 6)
+    return tuple(range(1, n + 1))

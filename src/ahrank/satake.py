@@ -39,21 +39,21 @@ n+1..2n, with arrows (i, n+i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .rootsys import LieType, cartan_matrix
+from .rootsys import LieType, Record, cartan_matrix
 
 
 class InvalidRealFormError(ValueError):
     """Parameters outside a real-form family's domain."""
 
 
-@dataclass(frozen=True)
-class RealFormSpec:
+class RealFormSpec(Record):
     """Symbolic name of a real form: family label plus integer parameters."""
 
-    family: str
-    params: tuple[int, ...] = ()
+    __slots__ = ("family", "params")
+
+    def __init__(self, family: str, params: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
         if not self.params:
@@ -61,8 +61,7 @@ class RealFormSpec:
         return f"{self.family}({','.join(str(p) for p in self.params)})"
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(Record):
     """Dynkin diagram with black nodes and a white-node arrow involution.
 
     ``components`` is 2 for the doubled diagram of a complex algebra viewed
@@ -70,10 +69,19 @@ class SatakeDiagram:
     are stored as sorted node pairs.
     """
 
-    lie_type: LieType
-    black: frozenset[int] = frozenset()
-    arrows: frozenset[tuple[int, int]] = frozenset()
-    components: int = 1
+    __slots__ = ("lie_type", "black", "arrows", "components")
+
+    def __init__(
+        self,
+        lie_type: LieType,
+        black: frozenset[int] = frozenset(),
+        arrows: frozenset[tuple[int, int]] = frozenset(),
+        components: int = 1,
+    ) -> None:
+        object.__setattr__(self, "lie_type", lie_type)
+        object.__setattr__(self, "black", black)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "components", components)
 
     @property
     def node_count(self) -> int:

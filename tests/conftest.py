@@ -10,13 +10,14 @@ diagrams are isomorphic."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from ahrank.cones import NodePartition
-from ahrank.rootsys import LieType, NodePermutation, canonical_types, cartan_matrix, iota
+from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
 
@@ -49,7 +50,7 @@ def _automorphisms(d: SatakeDiagram) -> list[tuple[int, ...]]:
     if n == 1 or (t.letter == "D" and n == 2):
         return list(itertools.permutations(d.nodes()))
     identity = tuple(range(1, n + 1))
-    own = {identity, iota(t).images}
+    own = {identity, iota(t)}
     if t.letter == "D":
         own.add(identity[:-2] + (n, n - 1))
         if n == 4:
@@ -143,7 +144,7 @@ def matching_equations(d: SatakeDiagram) -> list[list[int]]:
 def iota_pairs(d: SatakeDiagram) -> list[tuple[int, int]]:
     """Node pairs exchanged by the longest-element involution, per component."""
     n = d.lie_type.rank
-    images = iota(d.lie_type).images
+    images = iota(d.lie_type)
     return [
         (offset + i, offset + images[i - 1])
         for offset in range(0, d.node_count, n)
@@ -213,6 +214,18 @@ ROOT_ENUMERATION_BOUND = 8
 #: longest_element_negation() enumerates Weyl groups up to this rank
 #: (largest supported group: W(B5), order 3840).
 WEYL_ENUMERATION_BOUND = 5
+
+
+@dataclass(frozen=True)
+class NodePermutation:
+    """Permutation of diagram nodes, stored as 1-based images; building one
+    checks that the images are a permutation."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
 
 def compose(p: NodePermutation, q: NodePermutation) -> NodePermutation:

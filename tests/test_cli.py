@@ -273,23 +273,54 @@ def test_package_exports_exactly_readme_library_names():
     assert exported == imported
 
 
-def _catalog_probe(module: str) -> str:
-    """What a fresh interpreter prints for whether it holds
-    ``ahrank.catalog`` after importing ``module``."""
+def _engine_env() -> dict[str, str]:
     src = str(Path(ahrank.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = f"import {module}, sys; print('ahrank.catalog' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    return result.stdout
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _newly_loaded(module: str, names: set[str]) -> set[str]:
+    """Which of ``names`` a fresh interpreter holds after importing
+    ``module`` and not after a bare ``pass``, so that modules a site hook
+    loads at start-up do not count."""
+
+    def held(statement: str) -> set[str]:
+        probe = f"{statement}; import sys; print(*sorted({names!r} & sys.modules.keys()))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_engine_env(), check=True
+        )
+        return set(result.stdout.split())
+
+    return held(f"import {module}") - held("pass")
 
 
 def test_import_ahrank_leaves_catalog_unloaded():
-    assert _catalog_probe("ahrank") == "False\n"
+    assert _newly_loaded("ahrank", {"ahrank.catalog"}) == set()
 
 
 def test_import_cli_leaves_catalog_unloaded():
     # only the table commands load the catalog, when they run
-    assert _catalog_probe("ahrank.cli") == "False\n"
+    assert _newly_loaded("ahrank.cli", {"ahrank.catalog"}) == set()
+
+
+@pytest.mark.parametrize("module", ["ahrank", "ahrank.cli", "ahrank.catalog"])
+def test_import_leaves_dataclasses_and_inspect_unloaded(module):
+    # records derive from rootsys.Record, so start-up pays for neither
+    assert _newly_loaded(module, {"dataclasses", "inspect"}) == set()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["rank", "sl(3,R)"], ["anomaly-scan", "--rank", "5", "--json"]])
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(_engine_env(), PYTHONUNBUFFERED=unbuffered)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ahrank", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from conftest import (
     ROOT_ENUMERATION_BOUND,
+    NodePermutation,
     compose,
     descent_negation,
     is_cartan_automorphism,
@@ -127,31 +128,42 @@ BRUTE_FORCE_TYPES = (
 
 @pytest.mark.parametrize("t", BRUTE_FORCE_TYPES, ids=str)
 def test_iota_matches_brute_force(t):
-    assert iota(t) == longest_element_negation(t)
+    assert iota(t) == longest_element_negation(t).images
 
 
 def test_iota_matches_weyl_descent():
     # A1-A40, B2-B40, C3-C40, D4-D40 and every exceptional type, E6 included
     for t in canonical_types(40):
         negation, steps = descent_negation(t)
-        assert iota(t) == negation, t
+        assert iota(t) == negation.images, t
         if t.rank <= ROOT_ENUMERATION_BOUND:
             assert steps == len(positive_roots(t)), t
 
 
 @pytest.mark.parametrize("t", ALL_SMALL_TYPES, ids=str)
 def test_iota_involution_and_automorphism(t):
-    sigma = iota(t)
+    sigma = NodePermutation(iota(t))
     assert compose(sigma, sigma).images == tuple(range(1, t.rank + 1))
     assert is_cartan_automorphism(t, sigma.images)
 
 
 def test_iota_closed_forms():
-    assert iota(LieType("A", 5)).images == (5, 4, 3, 2, 1)
-    assert iota(LieType("E", 6)).images == (5, 4, 3, 2, 1, 6)
-    assert iota(LieType("F", 4)).images == (1, 2, 3, 4)
-    assert iota(LieType("D", 4)).images == (1, 2, 3, 4)
-    assert iota(LieType("D", 5)).images == (1, 2, 3, 5, 4)
+    assert iota(LieType("A", 5)) == (5, 4, 3, 2, 1)
+    assert iota(LieType("E", 6)) == (5, 4, 3, 2, 1, 6)
+    assert iota(LieType("F", 4)) == (1, 2, 3, 4)
+    assert iota(LieType("D", 4)) == (1, 2, 3, 4)
+    assert iota(LieType("D", 5)) == (1, 2, 3, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "t", [LieType("A", 801), LieType("D", 400), LieType("D", 401), LieType("B", 400), LieType("C", 400)],
+    ids=str,
+)
+def test_iota_permutation_involution_at_high_rank(t):
+    # past the ranks the descent oracle covers: the closed form must still be
+    # a permutation of the nodes (NodePermutation checks it) and an involution
+    sigma = NodePermutation(iota(t))
+    assert compose(sigma, sigma).images == tuple(range(1, t.rank + 1))
 
 
 @pytest.mark.parametrize(
