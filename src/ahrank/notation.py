@@ -15,7 +15,9 @@ The input language of the command line (case-insensitive)::
     arg        := ["-"] term ( ("+" | "-") term )*
     term       := INT [ NAME ] | NAME
 
-The multiplication sign may also be written as a Unicode times sign.
+Whitespace between tokens is ignored, and INT is a run of decimal digits
+of any script.  The multiplication and minus signs may also be written as
+the Unicode signs × and −, and the letters R, C, H and Z as ℝ, ℂ, ℍ and ℤ.
 ``form`` is a Roman numeral (e6: I..IV, e7: V..VII, e8: VIII..IX,
 f4: I..II), "split" for g2, or "C" for a complex algebra viewed as real;
 a bare exceptional name denotes the compact form.  NAMEs inside ``arg``
@@ -36,11 +38,17 @@ by ``satake.canonical`` when the algebra is built.
 
 from __future__ import annotations
 
+import re
+
 from .cones import ReductiveAlgebra
 from .rootsys import Record
 from .satake import EXCEPTIONAL, RealFormSpec
 
-_UNICODE_LETTERS = {"ℝ": "r", "ℂ": "c", "ℍ": "h", "ℤ": "z"}
+_DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
+#: One alternative per token kind: whitespace, NAME, INT, SYM, the Unicode
+#: times and minus signs, and any other character (an error).  ``\d`` and
+#: ``\s`` accept exactly what ``str.isdecimal`` and ``str.isspace`` accept.
+_TOKEN = re.compile(r"(\s+)|([A-Za-zℝℂℍℤ]+\*?)|(\d+)|([(),^/{}\[\]+\-*_])|(×)|(−)|(.)", re.S)
 _FIELDS = {"r", "c", "h"}
 #: Lookups derived from ``satake.EXCEPTIONAL``: the exceptional types as
 #: (lower-case letter, rank), every form label ("c" for a complex algebra
@@ -69,63 +77,39 @@ class AlgebraExpression(Record):
     __slots__ = ("source", "algebra", "discarded")
 
 
-class _Token(Record):
-    __slots__ = ("kind", "text", "pos")  # kind: NAME, INT, SYM, END
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, position), kind one of NAME, INT, SYM, END.
 
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
-
-
-def _tokenize(text: str) -> list[_Token]:
+    Every alternative of ``_TOKEN`` is decided by its first character, so
+    matching never backtracks; whitespace is its own alternative so that a
+    trailing space is skipped rather than reported by the catch-all.
+    """
     tokens = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 1:
             continue
-        if ch == "×":  # multiplication sign, same role as "x"
-            tokens.append(_Token("NAME", "x", i))
-            i += 1
-            continue
-        if ch == "−":  # minus sign
-            tokens.append(_Token("SYM", "-", i))
-            i += 1
-            continue
-        if ch.isascii() and ch.isalpha() or ch in _UNICODE_LETTERS:
-            start = i
-            name = []
-            while i < length and (text[i].isascii() and text[i].isalpha() or text[i] in _UNICODE_LETTERS):
-                name.append(_UNICODE_LETTERS.get(text[i], text[i].lower()))
-                i += 1
-            if i < length and text[i] == "*":
-                name.append("*")
-                i += 1
-            tokens.append(_Token("NAME", "".join(name), start))
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < length and text[i].isdecimal():
-                i += 1
-            if i - start > _MAX_INT_DIGITS:
-                raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", start)
-            tokens.append(_Token("INT", text[start:i], start))
-            continue
-        if ch in "(),^/{}[]+-*_":
-            tokens.append(_Token("SYM", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", length))
+        pos = match.start()
+        if group == 2:
+            tokens.append(("NAME", match[2].lower().translate(_DOUBLE_STRUCK), pos))
+        elif group == 3:
+            if match.end() - pos > _MAX_INT_DIGITS:
+                raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", pos)
+            tokens.append(("INT", match[3], pos))
+        elif group == 4:
+            tokens.append(("SYM", match[4], pos))
+        elif group == 5:  # multiplication sign, same role as "x"
+            tokens.append(("NAME", "x", pos))
+        elif group == 6:  # minus sign
+            tokens.append(("SYM", "-", pos))
+        else:
+            raise ParseError(f"unexpected character {match[7]!r}", pos)
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, params: dict[str, int] | None) -> None:
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.env = dict(params or {})
@@ -136,19 +120,19 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         token = self.tokens[self.index]
-        if token.kind != "END":
+        if token[0] != "END":
             self.index += 1
         return token
 
-    def expect_sym(self, symbol: str, what: str) -> _Token:
-        token = self.peek()
-        if token.kind != "SYM" or token.text != symbol:
-            raise ParseError(f"expected {what}", token.pos)
+    def expect_sym(self, symbol: str, what: str) -> tuple[str, str, int]:
+        kind, text, pos = self.peek()
+        if kind != "SYM" or text != symbol:
+            raise ParseError(f"expected {what}", pos)
         return self.advance()
 
     def _note(self, message: str) -> None:
@@ -159,12 +143,12 @@ class _Parser:
 
     def _skip_structural(self) -> None:
         while True:
-            token = self.peek()
-            if token.kind == "SYM" and token.text in "{}[]":
+            kind, text, _ = self.peek()
+            if kind == "SYM" and text in "{}[]":
                 self._note("grouping braces")
                 self.advance()
                 continue
-            if token.kind == "SYM" and token.text == "/":
+            if kind == "SYM" and text == "/":
                 self._skip_quotient()
                 continue
             return
@@ -172,123 +156,119 @@ class _Parser:
     def _skip_quotient(self) -> None:
         self._note("discrete quotient")
         self.advance()  # the '/'
-        token = self.peek()
-        if token.kind == "SYM" and token.text in "{[":
+        kind, text, pos = self.peek()
+        if kind == "SYM" and text in "{[":
             self._skip_group()
             return
-        if token.kind != "NAME" or self._at_separator():
-            raise ParseError("expected a discrete group after '/'", token.pos)
+        if kind != "NAME" or self._at_separator():
+            raise ParseError("expected a discrete group after '/'", pos)
         self.advance()
-        token = self.peek()
-        if token.kind == "SYM" and token.text == "_":
+        kind, text, pos = self.peek()
+        if kind == "SYM" and text == "_":
             self.advance()
-            token = self.peek()
-            if token.kind == "SYM" and token.text == "{":
+            kind, text, pos = self.peek()
+            if kind == "SYM" and text == "{":
                 self._skip_group()
-            elif token.kind == "INT" or (token.kind == "NAME" and not self._at_separator()):
+            elif kind == "INT" or (kind == "NAME" and not self._at_separator()):
                 self.advance()
             else:
-                raise ParseError("expected a subscript after '_'", token.pos)
-        elif token.kind == "INT":
+                raise ParseError("expected a subscript after '_'", pos)
+        elif kind == "INT":
             self.advance()
 
     def _skip_group(self) -> None:
         """Skip a bracketed quotient group, from its opening bracket to the
         matching close; an unclosed group, or one holding only brackets, is
         an error at its opening."""
-        opening = self.peek()
+        opening = self.peek()[2]
         depth = 0
         empty = True
         while True:
-            token = self.advance()
-            if token.kind == "END":
-                raise ParseError("unclosed quotient group", opening.pos)
-            if token.kind == "SYM" and token.text in "{[":
+            kind, text, _ = self.advance()
+            if kind == "END":
+                raise ParseError("unclosed quotient group", opening)
+            if kind == "SYM" and text in "{[":
                 depth += 1
-            elif token.kind == "SYM" and token.text in "}]":
+            elif kind == "SYM" and text in "}]":
                 depth -= 1
                 if depth == 0:
                     if empty:
-                        raise ParseError("empty quotient group", opening.pos)
+                        raise ParseError("empty quotient group", opening)
                     return
             else:
                 empty = False
 
     def _at_separator(self) -> bool:
-        token = self.peek()
-        if token.kind == "SYM" and token.text == "*":
+        kind, text, _ = self.peek()
+        if kind == "SYM" and text == "*":
             return True
         # An unspaced product like "U(1)xU(1)" lexes the separator into the
         # next name; no atom starts with "x", so such a name is a separator.
-        return token.kind == "NAME" and token.text.startswith("x")
+        return kind == "NAME" and text.startswith("x")
 
     def _consume_separator(self) -> None:
-        token = self.peek()
-        if token.kind == "NAME" and len(token.text) > 1 and token.text.startswith("x"):
-            self.tokens[self.index] = _Token("NAME", token.text[1:], token.pos + 1)
+        kind, text, pos = self.peek()
+        if kind == "NAME" and len(text) > 1 and text.startswith("x"):
+            self.tokens[self.index] = ("NAME", text[1:], pos + 1)
             return
         self.advance()
 
     # -- arithmetic arguments ----------------------------------------------
 
     def _term(self) -> int:
-        token = self.peek()
-        if token.kind == "INT":
+        kind, text, pos = self.peek()
+        if kind == "INT":
             self.advance()
-            value = int(token.text)
-            nxt = self.peek()
-            if nxt.kind == "NAME" and not nxt.text.startswith("x"):
+            value = int(text)
+            kind, text, pos = self.peek()
+            if kind == "NAME" and not text.startswith("x"):
                 self.advance()
-                return value * self._lookup(nxt)
+                return value * self._lookup(text, pos)
             return value
-        if token.kind == "NAME":
+        if kind == "NAME":
             self.advance()
-            return self._lookup(token)
-        raise ParseError("expected an integer argument", token.pos)
+            return self._lookup(text, pos)
+        raise ParseError("expected an integer argument", pos)
 
-    def _lookup(self, token: _Token) -> int:
-        if token.text not in self.env:
-            raise ParseError(f"unbound parameter {token.text!r}", token.pos)
-        return self.env[token.text]
+    def _lookup(self, name: str, pos: int) -> int:
+        if name not in self.env:
+            raise ParseError(f"unbound parameter {name!r}", pos)
+        return self.env[name]
 
     def _arith(self) -> int:
         sign = 1
-        token = self.peek()
-        if token.kind == "SYM" and token.text in "+-":
+        kind, text, _ = self.peek()
+        if kind == "SYM" and text in "+-":
             self.advance()
-            sign = -1 if token.text == "-" else 1
+            sign = -1 if text == "-" else 1
         total = sign * self._term()
         while True:
-            token = self.peek()
-            if token.kind == "SYM" and token.text in "+-":
+            kind, text, _ = self.peek()
+            if kind == "SYM" and text in "+-":
                 self.advance()
-                sign = -1 if token.text == "-" else 1
+                sign = -1 if text == "-" else 1
                 total += sign * self._term()
             else:
                 return total
 
     def _args(self, name: str, field_names: frozenset[str] = frozenset()):
         """Parse "(" arg ["," (arg | field)] ")"; returns (first, second, field)."""
-        open_paren = self.expect_sym("(", f"'(' after {name}")
+        open_paren = self.expect_sym("(", f"'(' after {name}")[2]
         first = self._arith()
         second = None
         field = None
-        token = self.peek()
-        if token.kind == "SYM" and token.text == ",":
+        kind, text, _ = self.peek()
+        if kind == "SYM" and text == ",":
             self.advance()
-            token = self.peek()
-            if (
-                token.kind == "NAME"
-                and token.text in field_names
-                and token.text not in self.env
-            ):
-                field = token.text
+            kind, text, _ = self.peek()
+            if kind == "NAME" and text in field_names and text not in self.env:
+                field = text
                 self.advance()
             else:
                 second = self._arith()
         self.expect_sym(")", f"')' closing the arguments of {name}")
         if first < 0 or (second is not None and second < 0):
-            raise ParseError(f"negative dimension in {name}(...)", open_paren.pos)
+            raise ParseError(f"negative dimension in {name}(...)", open_paren)
         return first, second, field
 
     # -- factor contributions ----------------------------------------------
@@ -385,29 +365,28 @@ class _Parser:
 
     def _atom(self) -> None:
         self._skip_structural()
-        token = self.peek()
-        if token.kind != "NAME":
-            raise ParseError("expected an algebra name", token.pos)
+        kind, name, pos = self.peek()
+        if kind != "NAME":
+            raise ParseError("expected an algebra name", pos)
         self.advance()
-        name = token.text
         if name == "sl":
             n, second, field = self._args(name, frozenset(_FIELDS))
             if field is None and second is not None:
-                raise ParseError("sl requires a field: sl(n,R), sl(n,C) or sl(n,H)", token.pos)
-            self._contrib_sl(n, field, token.pos)
+                raise ParseError("sl requires a field: sl(n,R), sl(n,C) or sl(n,H)", pos)
+            self._contrib_sl(n, field, pos)
         elif name == "su*":
             m, second, _ = self._args(name)
             if second is not None:
-                raise ParseError("su* takes a single argument", token.pos)
-            self._contrib_su_star(m, token.pos)
+                raise ParseError("su* takes a single argument", pos)
+            self._contrib_su_star(m, pos)
         elif name == "su":
             p, q, _ = self._args(name)
             self._contrib_su(p, q)
         elif name == "so*":
             m, second, _ = self._args(name)
             if second is not None:
-                raise ParseError("so* takes a single argument", token.pos)
-            self._contrib_so_star(m, token.pos)
+                raise ParseError("so* takes a single argument", pos)
+            self._contrib_so_star(m, pos)
         elif name in ("so", "spin"):
             if name == "spin":
                 self._note("covering prefix Spin")
@@ -420,56 +399,53 @@ class _Parser:
             p, q, _ = self._args(name)
             self._contrib_u(p, q)
         elif name == "s":
-            self._s_construction(token)
+            self._s_construction()
         elif name == "t":
             self.expect_sym("^", "'^' after T")
             k = self._arith()
             if k < 0:
-                raise ParseError("torus dimension must be nonnegative", token.pos)
+                raise ParseError("torus dimension must be nonnegative", pos)
             self.compact_center += k
         elif name == "r":
             self.expect_sym("^", "'^' after R")
             k = self._arith()
             if k < 0:
-                raise ParseError("split-abelian dimension must be nonnegative", token.pos)
+                raise ParseError("split-abelian dimension must be nonnegative", pos)
             self.split_center += k
         elif name in ("e", "f", "g"):
-            self._exceptional_atom(token)
+            self._exceptional_atom(name, pos)
         else:
-            raise ParseError(f"unknown atom {name!r}", token.pos)
+            raise ParseError(f"unknown atom {name!r}", pos)
 
-    def _exceptional_atom(self, token: _Token) -> None:
-        rank_token = self.peek()
-        if rank_token.kind != "INT":
-            raise ParseError(f"unknown atom {token.text!r}", token.pos)
-        rank = int(rank_token.text)
-        if (token.text, rank) not in _EXCEPTIONAL_TYPES:
-            raise ParseError(f"unknown exceptional type {token.text}{rank}", token.pos)
+    def _exceptional_atom(self, letter: str, pos: int) -> None:
+        kind, text, _ = self.peek()
+        if kind != "INT":
+            raise ParseError(f"unknown atom {letter!r}", pos)
+        rank = int(text)
+        if (letter, rank) not in _EXCEPTIONAL_TYPES:
+            raise ParseError(f"unknown exceptional type {letter}{rank}", pos)
         self.advance()
         form = None
-        nxt = self.peek()
-        if nxt.kind == "SYM" and nxt.text == "(":
+        kind, text, _ = self.peek()
+        if kind == "SYM" and text == "(":
             self.advance()
-            form_token = self.peek()
-            if form_token.kind != "NAME" or form_token.text not in _FORM_LABELS:
-                raise ParseError(
-                    f"expected a form label for {token.text}{rank}", form_token.pos
-                )
-            form = form_token.text
+            kind, form, form_pos = self.peek()
+            if kind != "NAME" or form not in _FORM_LABELS:
+                raise ParseError(f"expected a form label for {letter}{rank}", form_pos)
             self.advance()
-            self.expect_sym(")", f"')' closing the form of {token.text}{rank}")
-        self._contrib_exceptional(token.text, rank, form, token.pos)
+            self.expect_sym(")", f"')' closing the form of {letter}{rank}")
+        self._contrib_exceptional(letter, rank, form, pos)
 
-    def _s_construction(self, token: _Token) -> None:
+    def _s_construction(self) -> None:
         """S(U(...) x U(...) x ...): unitary factors with one overall trace
         condition, so k factors contribute their su parts plus T^(k-1)."""
         self.expect_sym("(", "'(' after S")
         count = 0
         while True:
             self._skip_structural()
-            inner = self.peek()
-            if inner.kind != "NAME" or inner.text != "u":
-                raise ParseError("S(...) expects U(...) factors", inner.pos)
+            kind, text, pos = self.peek()
+            if kind != "NAME" or text != "u":
+                raise ParseError("S(...) expects U(...) factors", pos)
             self.advance()
             p, q, _ = self._args("u")
             self._contrib_su(p, q)
@@ -492,10 +468,10 @@ class _Parser:
                 self._consume_separator()
                 self._atom()
                 continue
-            token = self.peek()
-            if token.kind == "END":
+            kind, _, pos = self.peek()
+            if kind == "END":
                 break
-            raise ParseError("expected 'x' between factors or end of expression", token.pos)
+            raise ParseError("expected 'x' between factors or end of expression", pos)
         if not self.factors and not self.compact_center and not self.split_center:
             raise ParseError("expression denotes the zero algebra", 0)
         return ReductiveAlgebra(

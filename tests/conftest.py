@@ -4,8 +4,9 @@ diagram validator checking black nodes and arrows against the diagram
 automorphisms, an exact linear-algebra rank oracle with cone membership
 tests for weight tuples, a union-find node-class oracle, root enumeration
 and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
--w0, and a permutation search deciding whether two products of Satake
-diagrams are isomorphic."""
+-w0, a permutation search deciding whether two products of Satake
+diagrams are isomorphic, and a character-by-character reference lexer for
+algebra expressions."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from functools import lru_cache
 import pytest
 
 from ahrank.cones import NodePartition
+from ahrank.notation import _MAX_INT_DIGITS, ParseError
 from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
@@ -427,3 +429,57 @@ def isomorphic_diagrams(left: list[SatakeDiagram], right: list[SatakeDiagram]) -
         return False
 
     return extend([])
+
+
+# ---------------------------------------------------------------------------
+# reference lexer
+
+_UNICODE_LETTERS = {"ℝ": "r", "ℂ": "c", "ℍ": "h", "ℤ": "z"}
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The expression lexer as one loop over the characters, giving the
+    (kind, text, position) tokens ``notation._tokenize`` must give, or
+    raising the same ``ParseError``."""
+    tokens = []
+    i = 0
+    length = len(text)
+    while i < length:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "×":  # multiplication sign, same role as "x"
+            tokens.append(("NAME", "x", i))
+            i += 1
+            continue
+        if ch == "−":  # minus sign
+            tokens.append(("SYM", "-", i))
+            i += 1
+            continue
+        if ch.isascii() and ch.isalpha() or ch in _UNICODE_LETTERS:
+            start = i
+            name = []
+            while i < length and (text[i].isascii() and text[i].isalpha() or text[i] in _UNICODE_LETTERS):
+                name.append(_UNICODE_LETTERS.get(text[i], text[i].lower()))
+                i += 1
+            if i < length and text[i] == "*":
+                name.append("*")
+                i += 1
+            tokens.append(("NAME", "".join(name), start))
+            continue
+        if ch.isdecimal():
+            start = i
+            while i < length and text[i].isdecimal():
+                i += 1
+            if i - start > _MAX_INT_DIGITS:
+                raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", start)
+            tokens.append(("INT", text[start:i], start))
+            continue
+        if ch in "(),^/{}[]+-*_":
+            tokens.append(("SYM", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", length))
+    return tokens

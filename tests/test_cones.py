@@ -18,6 +18,7 @@ from conftest import (
 from ahrank.cones import (
     RankProfile,
     ReductiveAlgebra,
+    _is_identity,
     a_hyperbolic_rank,
     antipodal_classes,
     b_plus_generators,
@@ -115,6 +116,13 @@ def test_trivial_involution_gives_equality(database):
         images = iota(diagram.lie_type)
         if images == tuple(range(1, len(images) + 1)):
             assert a_hyperbolic_rank(diagram) == real_rank(diagram), spec
+
+
+def test_identity_test_reads_only_the_ends():
+    extra = [LieType("A", 1), LieType("D", 3), LieType("D", 401), LieType("A", 801)]
+    for t in [*canonical_types(60), *extra]:
+        images = iota(t)
+        assert _is_identity(images) == (images == tuple(range(1, t.rank + 1))), t
 
 
 def test_rank_linear_algebra_oracle(database):

@@ -200,6 +200,7 @@ def test_parse_render_round_trip(text):
         ("sl(2,R)/xsu(2)", "expected a discrete group after '/'", 8),
         ("sl(2,R)/Z_{}", "empty quotient group", 10),
         ("sl(2,R)/{}", "empty quotient group", 8),
+        ("sl(3,R)\u200b", "unexpected character '\\u200b'", 7),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):
@@ -212,3 +213,10 @@ def test_parse_errors_with_position(text, reason_part, position):
 def test_unicode_field_letters():
     assert parse("sl(3,ℝ)") == parse("sl(3,R)")
     assert parse("sl(2,ℂ) × su(2,1)") == parse("sl(2,C) x su(2,1)")
+
+
+def test_unicode_digits_and_trailing_whitespace():
+    expected = parse_expression("sl(3,R)")
+    assert parse_expression("sl(٣,R)").algebra == expected.algebra
+    trailing = parse_expression("sl(3,R) ")
+    assert (trailing.algebra, trailing.discarded) == (expected.algebra, expected.discarded)

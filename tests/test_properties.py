@@ -1,16 +1,19 @@
-"""Property tests: printing round-trips, and parsing is invariant under the
-presentations of an isomorphism class."""
+"""Property tests: printing round-trips, parsing is invariant under the
+presentations of an isomorphism class, and the lexer agrees with the
+character-by-character reference lexer."""
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 
-from conftest import database_specs
+import pytest
+from conftest import database_specs, reference_tokenize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ahrank.cones import ReductiveAlgebra
-from ahrank.notation import _render_factor, parse, render
+from ahrank.notation import _MAX_INT_DIGITS, ParseError, _render_factor, _tokenize, parse, render
 from ahrank.satake import _COINCIDENCES, RealFormSpec
 
 FORMS = database_specs(8, 8)
@@ -52,3 +55,38 @@ def test_parse_invariant_under_presentation(product):
         if not Counter(targets) - held:
             rest = list((held - Counter(targets)).elements())
             assert parse(_text(rest + [key], compact, split)) == algebra
+
+
+#: Characters of every token kind, with the Unicode letters, signs and digits
+#: the lexer maps, and characters on both sides of its character classes: an
+#: Arabic-Indic digit (decimal), a superscript two (a digit but not decimal),
+#: an information separator (whitespace) and a zero-width space (not).
+_LEXER_ALPHABET = string.ascii_letters + string.digits + "(),^/{}[]+-*_#×−ℝℂℍℤ٣²\x1c\t \u200b"
+_WHITESPACE = ["", " ", "\t", "\x1c", "  "]
+
+#: Pieces of alphabet text and digit runs at the integer-length limit, joined
+#: and ended by optional whitespace.
+lexer_inputs = st.builds(
+    lambda parts, tail: "".join(parts) + tail,
+    st.lists(
+        st.one_of(
+            st.text(_LEXER_ALPHABET, max_size=16),
+            st.integers(_MAX_INT_DIGITS - 1, _MAX_INT_DIGITS + 1).map(lambda n: "7" * n),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from(_WHITESPACE),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(lexer_inputs)
+def test_tokenize_matches_reference_lexer(text):
+    try:
+        expected = reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert (got.value.reason, got.value.position) == (err.reason, err.position)
+    else:
+        assert _tokenize(text) == expected

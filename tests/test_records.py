@@ -9,7 +9,7 @@ import pytest
 
 from ahrank.cones import NodePartition, RankProfile, ReductiveAlgebra
 from ahrank.decision import Decision, Obstruction, TraceStep, Verdict
-from ahrank.notation import AlgebraExpression, _Token
+from ahrank.notation import AlgebraExpression
 from ahrank.rootsys import LieType
 from ahrank.satake import RealFormSpec, SatakeDiagram
 
@@ -33,7 +33,6 @@ SAMPLES = [
     (Decision, ("verdict", "trace"), (Verdict.UNDETERMINED, ())),
     (Obstruction, ("obstructed", "witnesses"), (True, ("real_rank",))),
     (AlgebraExpression, ("source", "algebra", "discarded"), ("sl(3,R) x T^1 x R^2", _ALGEBRA, ())),
-    (_Token, ("kind", "text", "pos"), ("NAME", "sl", 0)),
 ]
 
 _IDS = [cls.__name__ for cls, _, _ in SAMPLES]
