@@ -62,7 +62,6 @@ def test_parse_invariant_under_presentation(product):
 #: Arabic-Indic digit (decimal), a superscript two (a digit but not decimal),
 #: an information separator (whitespace) and a zero-width space (not).
 _LEXER_ALPHABET = string.ascii_letters + string.digits + "(),^/{}[]+-*_#×−ℝℂℍℤ٣²\x1c\t \u200b"
-_WHITESPACE = ["", " ", "\t", "\x1c", "  "]
 
 #: Pieces of alphabet text and digit runs at the integer-length limit, joined
 #: and ended by optional whitespace.
@@ -75,7 +74,7 @@ lexer_inputs = st.builds(
         ),
         max_size=4,
     ),
-    st.sampled_from(_WHITESPACE),
+    st.sampled_from(["", " ", "\t", "\x1c", "  "]),
 )
 
 
