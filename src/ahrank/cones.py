@@ -16,6 +16,7 @@ a split abelian center adds to the real rank only.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import lru_cache
 
 from .rootsys import Record, iota
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
@@ -160,13 +161,25 @@ def factor_profile(spec: RealFormSpec) -> RankProfile:
     return RankProfile(real_rank(d), a_hyperbolic_rank(d))
 
 
+@lru_cache(maxsize=2048)
+def _memo_profile(family: str, params: tuple[int, ...]) -> RankProfile:
+    """``factor_profile`` remembered per process for the algebra queries,
+    where most factors repeat.  The key is the plain ``(family, params)``
+    tuple, which hashes and compares far faster than a ``RealFormSpec``.
+    Only the key and the immutable profile are kept, and a spec that fails
+    to build is not.  The catalog sweeps call ``factor_profile`` directly:
+    their forms never repeat, so a memo would only cost them time and
+    memory."""
+    return factor_profile(RealFormSpec(family, params))
+
+
 def rank_profile(alg: ReductiveAlgebra) -> RankProfile:
     """Both ranks add over simple factors; a split center adds to the real
     rank, a compact center to neither."""
     real = alg.split_center_dim
     ahyp = 0
     for spec in alg.simple_factors:
-        profile = factor_profile(spec)
+        profile = _memo_profile(spec.family, spec.params)
         real += profile.real_rank
         ahyp += profile.a_hyperbolic_rank
     return RankProfile(real, ahyp)

@@ -498,34 +498,38 @@ def parse(text: str, params: dict[str, int] | None = None) -> ReductiveAlgebra:
 # ---------------------------------------------------------------------------
 # printing
 
+#: Each family's name from its parameters, for all but the exceptional
+#: types: the one- and two-parameter families, then the compact and complex
+#: classical types by rank.
+_NAMES = {
+    "sl_R": lambda n: f"sl({n},R)",
+    "su_star": lambda m: f"su*({m})",
+    "sp_R": lambda n: f"sp({n},R)",
+    "so_star": lambda m: f"so*({m})",
+    "su_pq": lambda p, q: f"su({p},{q})",
+    "so_pq": lambda p, q: f"so({p},{q})",
+    "sp_pq": lambda p, q: f"sp({p},{q})",
+    "compact_A": lambda r: f"su({r + 1})",
+    "compact_B": lambda r: f"so({2 * r + 1})",
+    "compact_C": lambda r: f"sp({r})",
+    "compact_D": lambda r: f"so({2 * r})",
+    "complex_A": lambda r: f"sl({r + 1},C)",
+    "complex_B": lambda r: f"so({2 * r + 1},C)",
+    "complex_C": lambda r: f"sp({r},C)",
+    "complex_D": lambda r: f"so({2 * r},C)",
+}
+
+
 def _render_factor(spec: RealFormSpec) -> str:
-    family, params = spec.family, spec.params
-    simple = {
-        "sl_R": lambda n: f"sl({n},R)",
-        "su_star": lambda m: f"su*({m})",
-        "sp_R": lambda n: f"sp({n},R)",
-        "so_star": lambda m: f"so*({m})",
-    }
-    if family in simple:
-        return simple[family](params[0])
-    if family in ("su_pq", "so_pq", "sp_pq"):
-        base = family[:2]
-        return f"{base}({params[0]},{params[1]})"
-    if family.startswith("compact_") or family.startswith("complex_"):
-        kind, _, letter = family.partition("_")
-        rank = params[0]
-        if letter in "EFG":
-            name = f"{letter.lower()}{rank}"
-            return name if kind == "compact" else f"{name}(C)"
-        names = {
-            "A": (f"su({rank + 1})", f"sl({rank + 1},C)"),
-            "B": (f"so({2 * rank + 1})", f"so({2 * rank + 1},C)"),
-            "C": (f"sp({rank})", f"sp({rank},C)"),
-            "D": (f"so({2 * rank})", f"so({2 * rank},C)"),
-        }
-        return names[letter][0 if kind == "compact" else 1]
-    head, _, form = family.partition("_")  # exceptional real forms: e6_IV etc.
-    return f"{head}({form})"
+    name = _NAMES.get(spec.family)
+    if name is not None:
+        return name(*spec.params)
+    kind, _, label = spec.family.partition("_")
+    if kind == "compact":  # compact and complex E, F and G: e6, e6(C)
+        return f"{label.lower()}{spec.params[0]}"
+    if kind == "complex":
+        return f"{label.lower()}{spec.params[0]}(C)"
+    return f"{kind}({label})"  # exceptional real forms: e6_IV -> e6(IV)
 
 
 def render(alg: ReductiveAlgebra) -> str:

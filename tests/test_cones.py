@@ -15,10 +15,12 @@ from conftest import (
     union_find_partition,
 )
 
+from ahrank.catalog import anomaly_scan, verify_table1
 from ahrank.cones import (
     RankProfile,
     ReductiveAlgebra,
     _is_identity,
+    _memo_profile,
     a_hyperbolic_rank,
     antipodal_classes,
     b_plus_generators,
@@ -27,6 +29,7 @@ from ahrank.cones import (
 )
 from ahrank.rootsys import LieType, canonical_types, iota
 from ahrank.satake import (
+    InvalidRealFormError,
     RealFormSpec,
     SatakeDiagram,
     complex_as_real,
@@ -189,6 +192,29 @@ def test_rank_profile_additive():
     assert combined == RankProfile(
         a.real_rank + b.real_rank, a.a_hyperbolic_rank + b.a_hyperbolic_rank
     )
+    before = _memo_profile.cache_info()
+    again = rank_profile(ReductiveAlgebra(left + right, 1, 2))
+    after = _memo_profile.cache_info()
+    assert again == combined
+    assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
+
+
+def test_catalog_sweeps_bypass_the_profile_memo():
+    before = _memo_profile.cache_info()
+    anomaly_scan(12)
+    verify_table1(20)
+    assert _memo_profile.cache_info() == before
+
+
+def test_profile_memo_keeps_no_failed_factor():
+    alg = ReductiveAlgebra((RealFormSpec("sl_R", (1,)),))
+    before = _memo_profile.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidRealFormError):
+            rank_profile(alg)
+    after = _memo_profile.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses - before.misses == 2
 
 
 def test_rank_profile_invariant():

@@ -134,6 +134,40 @@ def test_render_sorted_canonical():
     assert render(parse("e6(IV) x f4")) == "f4 x e6(IV)"  # sorted by family label
 
 
+#: One spec per naming branch of the printer, each its own canonical image.
+RENDERED_NAMES = [
+    (("sl_R", (3,)), "sl(3,R)"),
+    (("su_star", (6,)), "su*(6)"),
+    (("sp_R", (3,)), "sp(3,R)"),
+    (("so_star", (10,)), "so*(10)"),
+    (("su_pq", (2, 3)), "su(2,3)"),
+    (("so_pq", (2, 5)), "so(2,5)"),
+    (("sp_pq", (1, 2)), "sp(1,2)"),
+    (("compact_A", (3,)), "su(4)"),
+    (("compact_B", (3,)), "so(7)"),
+    (("compact_C", (3,)), "sp(3)"),
+    (("compact_D", (4,)), "so(8)"),
+    (("compact_E", (6,)), "e6"),
+    (("compact_F", (4,)), "f4"),
+    (("compact_G", (2,)), "g2"),
+    (("complex_A", (3,)), "sl(4,C)"),
+    (("complex_B", (3,)), "so(7,C)"),
+    (("complex_C", (3,)), "sp(3,C)"),
+    (("complex_D", (4,)), "so(8,C)"),
+    (("complex_E", (7,)), "e7(C)"),
+    (("complex_F", (4,)), "f4(C)"),
+    (("complex_G", (2,)), "g2(C)"),
+    (("e6_IV", ()), "e6(IV)"),
+]
+
+
+@pytest.mark.parametrize(("spec", "name"), RENDERED_NAMES)
+def test_render_names_each_family(spec, name):
+    alg = ReductiveAlgebra((RealFormSpec(*spec),))
+    assert alg.simple_factors == (RealFormSpec(*spec),)
+    assert render(alg) == name
+
+
 ISOMORPHIC_PAIRS = [
     ("su(1,2)", "su(2,1)"), ("so(1,4)", "so(4,1)"), ("so(4)", "so(3) x so(3)"),
     ("su(1,1)", "sl(2,R)"), ("so(2,3)", "sp(2,R)"), ("so(3,3)", "sl(4,R)"),
