@@ -9,6 +9,13 @@ subcone fixed by it; the number of surviving free classes is the
 a-hyperbolic rank, and the 0/1 indicator vectors of those classes are the
 extreme rays of that subcone.
 
+The a-hyperbolic rank is counted without walking the classes.  On a Satake
+diagram the involution maps the black nodes onto themselves and every arrow
+onto an arrow, so it permutes the real-rank many white arrow classes, and
+by Burnside's lemma its orbits number (real rank + F) / 2, where F counts
+the classes it fixes.  A diagram built by hand that breaks either condition
+is counted by the walk that lists the classes.
+
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
 """
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from operator import eq
 
-from .rootsys import Record, iota
+from .rootsys import Record, iota, iota_fixed_points
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
@@ -98,13 +106,34 @@ def _is_identity(images: tuple[int, ...]) -> bool:
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
-    """Dimension of the involution-fixed subcone: free antipodal classes,
-    counted without listing them.  Where the involution is the identity the
-    antipodal classes are the matching classes, so this is the real rank."""
+    """Dimension of the involution-fixed subcone: the number of free
+    antipodal classes.  Where the involution is the identity these are the
+    matching classes, so this is the real rank.  Otherwise, when the
+    involution maps ``d.black`` onto itself and every arrow onto an arrow,
+    it permutes the white arrow classes, and the count is
+    (real rank + F) / 2 with F the classes it fixes: the unpaired white
+    nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  Like
+    ``real_rank``, this takes arrows to join white nodes.  Any other
+    diagram is counted by walking its classes."""
     images = iota(d.lie_type)
     if _is_identity(images):
         return real_rank(d)
-    return sum(map(d.black.isdisjoint, _orbits(d, _iota_image(d, images))))
+    image = _iota_image(d, images)
+    black, arrows = d.black, d.arrows
+    lefts, rights = zip(*arrows) if arrows else ((), ())
+    left_images = list(map(image.__getitem__, lefts))
+    arrow_images = zip(left_images, map(image.__getitem__, rights))
+    if not (
+        black.issuperset(map(image.__getitem__, black))
+        and arrows.union(zip(rights, lefts)).issuperset(arrow_images)
+    ):
+        return sum(map(black.isdisjoint, _orbits(d, image)))
+    # the fixed white nodes, less one per arrow fixed pointwise (one fixed
+    # class for its two fixed nodes), plus one per arrow reversed
+    fixed = d.components * len(iota_fixed_points(d.lie_type))
+    fixed -= sum(map(eq, map(image.__getitem__, black), black))
+    fixed += sum(map(eq, left_images, rights)) - sum(map(eq, left_images, lefts))
+    return (real_rank(d) + fixed) // 2
 
 
 def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,10 @@
 """Simple complex Lie algebra types, in exact integer arithmetic.
 
 Cartan matrices, the list of types up to a rank bound with each isomorphism
-class once, and the closed form of the diagram involution induced by -w0
-(the negated longest Weyl element).  The root enumeration and Weyl group
-searches that check ``iota`` are test oracles in ``tests/conftest.py``.
+class once, and the closed forms of the diagram involution induced by -w0
+(the negated longest Weyl element) and of its fixed nodes.  The root
+enumeration and Weyl group searches that check ``iota`` are test oracles in
+``tests/conftest.py``.
 ``Record``, the base of the package's value records, lives here, at the
 bottom of the package's imports.
 
@@ -176,3 +177,18 @@ def iota(t: LieType) -> tuple[int, ...]:
     if t.letter == "E" and n == 6:
         return (5, 4, 3, 2, 1, 6)
     return tuple(range(1, n + 1))
+
+
+def iota_fixed_points(t: LieType) -> range | tuple[int, ...]:
+    """The nodes that ``iota`` fixes, in increasing order: the middle node
+    of A_n for odd n, nodes 1..n-2 of D_n for odd n, nodes 3 and 6 of E6,
+    and every node of the other types.  Long runs come as a ``range``, so
+    their length costs nothing at any rank."""
+    n = t.rank
+    if t.letter == "A":
+        return ((n + 1) // 2,) if n % 2 else ()
+    if t.letter == "D" and n % 2 == 1:
+        return range(1, n - 1)
+    if t.letter == "E" and n == 6:
+        return (3, 6)
+    return range(1, n + 1)

@@ -4,9 +4,9 @@ diagram validator checking black nodes and arrows against the diagram
 automorphisms, an exact linear-algebra rank oracle with cone membership
 tests for weight tuples, a union-find node-class oracle, root enumeration
 and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
--w0, a permutation search deciding whether two products of Satake
-diagrams are isomorphic, and a character-by-character reference lexer for
-algebra expressions."""
+-w0, both ranks from the restricted root system, a permutation search
+deciding whether two products of Satake diagrams are isomorphic, and a
+character-by-character reference lexer for algebra expressions."""
 
 from __future__ import annotations
 
@@ -334,8 +334,10 @@ def longest_element_negation(t: LieType) -> NodePermutation:
 # ---------------------------------------------------------------------------
 # Weyl-descent oracle for -w0
 
-def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
-    """The node permutation induced by -w0, and the length of w0, found by
+def weyl_descent(cartan) -> tuple[tuple[int, ...], int]:
+    """The 1-based node images of the permutation induced by -w0 on the
+    simple roots of the root system with Cartan matrix ``cartan`` (entry
+    [i][j] = <alpha_i, alpha_j^v>), and the length of w0, found by
     descending from a regular dominant weight.
 
     Starting from the Dynkin labels (1, 2, ..., n), apply a simple
@@ -346,8 +348,7 @@ def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
     labels are distinct, so the end point determines sigma.  The labels
     (1, ..., 1) would not do: sigma fixes them.
     """
-    cartan = cartan_matrix(t)
-    n = t.rank
+    n = len(cartan)
     neighbours = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
     weight = list(range(1, n + 1))
     pending = list(range(n))
@@ -365,7 +366,67 @@ def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
             if weight[j] > 0:
                 pending.append(j)
         steps += 1
-    return NodePermutation(tuple(-label for label in weight)), steps
+    return tuple(-label for label in weight), steps
+
+
+def descent_negation(t: LieType) -> tuple[NodePermutation, int]:
+    """The node permutation induced by -w0 on a simple type, and the length
+    of w0, by ``weyl_descent``."""
+    images, steps = weyl_descent(cartan_matrix(t))
+    return NodePermutation(images), steps
+
+
+# ---------------------------------------------------------------------------
+# restricted root system oracle
+
+def restricted_positive_roots(d: SatakeDiagram) -> frozenset[tuple[int, ...]]:
+    """The positive restricted roots of the real form of ``d``, in the
+    coordinates of the white arrow classes ordered by least node.  A
+    positive root restricts by summing its simple-root coordinates over
+    each class; black nodes restrict to 0 (Araki 1962, section 2).  On a
+    doubled diagram the roots are those of the two copies."""
+    n = d.lie_type.rank
+    partner = dict(d.arrows) | {j: i for i, j in d.arrows}
+    leaders = {node: min(node, partner.get(node, node)) for node in d.nodes() if node not in d.black}
+    order = sorted(set(leaders.values()))
+    column = {node: order.index(leader) for node, leader in leaders.items()}
+    restricted = set()
+    for offset in range(0, d.node_count, n):
+        for root in positive_roots(d.lie_type):
+            image = [0] * len(order)
+            for node, c in enumerate(root, start=offset + 1):
+                if node in column:
+                    image[column[node]] += c
+            if any(image):
+                restricted.add(tuple(image))
+    return frozenset(restricted)
+
+
+def restricted_ranks(d: SatakeDiagram) -> tuple[int, int]:
+    """(number of restricted simple roots, number of -w0 orbits on them),
+    which the paper takes as the real rank and the a-hyperbolic rank, found
+    from the restricted root system without ``rootsys.iota``.
+
+    The simple roots are the positive restricted roots that are no sum of
+    two others.  The Cartan integer <lambda_i, lambda_j^v> is minus the
+    length of the lambda_j-string up from lambda_i, as lambda_i - lambda_j
+    is no root; a non-reduced system (type BC) yields the Cartan matrix of
+    its indivisible roots, which has the same Weyl group."""
+    roots = restricted_positive_roots(d)
+    simple = sorted(
+        root for root in roots
+        if not any(tuple(a - b for a, b in zip(root, other)) in roots for other in roots)
+    )
+
+    def up(start: tuple[int, ...], step: tuple[int, ...]) -> int:
+        length = 0
+        while tuple(a + (length + 1) * b for a, b in zip(start, step)) in roots:
+            length += 1
+        return length
+
+    cartan = [[2 if i == j else -up(a, b) for j, b in enumerate(simple)] for i, a in enumerate(simple)]
+    images, _ = weyl_descent(cartan)
+    return len(simple), sum(image >= i for i, image in enumerate(images, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ import itertools
 import pytest
 from conftest import (
     antipodal_equations,
+    database_specs,
     iota_fixed,
     iota_pairs,
     matches,
     matching_equations,
+    restricted_ranks,
     solution_dimension,
     union_find_partition,
 )
 
+from ahrank import cones
 from ahrank.catalog import anomaly_scan, verify_table1
 from ahrank.cones import (
     RankProfile,
@@ -162,6 +165,94 @@ def test_count_only_rank_equals_listed_free_classes():
     ]
     for d in diagrams:
         assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
+
+
+def _iota_and_arrows(d: SatakeDiagram) -> tuple[dict[int, int], dict[int, int]]:
+    """-w0 per component and the arrow involution, as node maps."""
+    n = d.lie_type.rank
+    images = iota(d.lie_type)
+    iota_of = {
+        offset + i: offset + images[i - 1]
+        for offset in range(0, d.node_count, n)
+        for i in range(1, n + 1)
+    }
+    arrow_of = {node: node for node in d.nodes()} | dict(d.arrows)
+    arrow_of |= {j: i for i, j in d.arrows}
+    return iota_of, arrow_of
+
+
+def _keeps_black(d: SatakeDiagram) -> bool:
+    iota_of, _ = _iota_and_arrows(d)
+    return {iota_of[node] for node in d.black} == d.black
+
+
+def _commutes_with_arrows(d: SatakeDiagram) -> bool:
+    iota_of, arrow_of = _iota_and_arrows(d)
+    return all(arrow_of[iota_of[node]] == iota_of[arrow_of[node]] for node in d.nodes())
+
+
+def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
+    """Record each diagram that the class walk is started on."""
+    calls = []
+    walk = cones._orbits
+
+    def recorded(d, sigma):
+        calls.append(d)
+        return walk(d, sigma)
+
+    monkeypatch.setattr(cones, "_orbits", recorded)
+    return calls
+
+
+def test_count_preconditions_hold_on_database(monkeypatch):
+    # the Burnside count needs -w0 to commute with the arrows and to map the
+    # black nodes onto themselves; every diagram of the database has both,
+    # so its a-hyperbolic rank is counted with no walk
+    diagrams = [satake_of(spec) for t in canonical_types(40) for spec in real_forms(t)]
+    diagrams += [complex_as_real(t) for t in canonical_types(12)]
+    walked = _walk_calls(monkeypatch)
+    for d in diagrams:
+        assert _keeps_black(d), d
+        assert _commutes_with_arrows(d), d
+        a_hyperbolic_rank(d)
+    assert walked == []
+
+
+def test_rank_falls_back_to_the_walk_outside_the_preconditions(monkeypatch):
+    # single arrows that -w0 does not map to arrows, the black set kept
+    moved_arrows = [
+        SatakeDiagram(t, arrows=frozenset([pair]))
+        for t in (LieType("A", 5), LieType("D", 5), LieType("E", 6))
+        for pair in itertools.combinations(range(1, t.rank + 1), 2)
+    ]
+    moved_arrows = [d for d in moved_arrows if not _commutes_with_arrows(d)]
+    # doubled A3 with a kept arrow and black sets that -w0 does not keep
+    moved_black = [
+        SatakeDiagram(LieType("A", 3), frozenset(black), frozenset([(2, 5)]), components=2)
+        for size in range(5)
+        for black in itertools.combinations((1, 3, 4, 6), size)
+    ]
+    moved_black = [d for d in moved_black if not _keeps_black(d)]
+    assert SatakeDiagram(LieType("A", 5), arrows=frozenset([(1, 2)])) in moved_arrows
+    assert len(moved_black) == 12
+    walked = _walk_calls(monkeypatch)
+    for d in moved_arrows:
+        assert _keeps_black(d), d
+        assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
+    for d in moved_black:
+        assert _commutes_with_arrows(d), d
+        assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
+    # one walk for the rank and one for the listing, per diagram
+    assert len(walked) == 2 * (len(moved_arrows) + len(moved_black))
+
+
+def test_ranks_match_restricted_root_oracle():
+    # the paper's ranks are counts on the restricted root system: simple
+    # roots for the real rank, -w0 orbits on them for the a-hyperbolic rank;
+    # every real form up to rank 8 (E6-E8 included) and complex doubles
+    for spec in database_specs(rank_bound=8, doubled_rank_bound=4):
+        d = satake_of(spec)
+        assert restricted_ranks(d) == (real_rank(d), a_hyperbolic_rank(d)), spec
 
 
 def test_complex_as_real_ranks():

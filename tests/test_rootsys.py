@@ -16,7 +16,7 @@ from conftest import (
     weyl_order,
 )
 
-from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota
+from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota, iota_fixed_points
 
 ALL_SMALL_TYPES = (
     [LieType("A", r) for r in range(1, 9)]
@@ -153,6 +153,15 @@ def test_iota_closed_forms():
     assert iota(LieType("F", 4)) == (1, 2, 3, 4)
     assert iota(LieType("D", 4)) == (1, 2, 3, 4)
     assert iota(LieType("D", 5)) == (1, 2, 3, 5, 4)
+
+
+def test_iota_fixed_points_rule():
+    for t in [*canonical_types(60), LieType("A", 801), LieType("D", 401), LieType("D", 3)]:
+        images = iota(t)
+        fixed = tuple(i for i in range(1, t.rank + 1) if images[i - 1] == i)
+        assert tuple(iota_fixed_points(t)) == fixed, t
+    # odd D is never listed node by node
+    assert iota_fixed_points(LieType("D", 401)) == range(1, 400)
 
 
 @pytest.mark.parametrize(
