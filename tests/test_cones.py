@@ -167,8 +167,9 @@ def test_count_only_rank_equals_listed_free_classes():
         assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
 
 
-def _iota_and_arrows(d: SatakeDiagram) -> tuple[dict[int, int], dict[int, int]]:
-    """-w0 per component and the arrow involution, as node maps."""
+def _preconditions(d: SatakeDiagram) -> tuple[bool, bool]:
+    """Whether -w0, applied per component, maps the black nodes onto
+    themselves, and whether it commutes with the arrow involution."""
     n = d.lie_type.rank
     images = iota(d.lie_type)
     iota_of = {
@@ -178,17 +179,10 @@ def _iota_and_arrows(d: SatakeDiagram) -> tuple[dict[int, int], dict[int, int]]:
     }
     arrow_of = {node: node for node in d.nodes()} | dict(d.arrows)
     arrow_of |= {j: i for i, j in d.arrows}
-    return iota_of, arrow_of
-
-
-def _keeps_black(d: SatakeDiagram) -> bool:
-    iota_of, _ = _iota_and_arrows(d)
-    return {iota_of[node] for node in d.black} == d.black
-
-
-def _commutes_with_arrows(d: SatakeDiagram) -> bool:
-    iota_of, arrow_of = _iota_and_arrows(d)
-    return all(arrow_of[iota_of[node]] == iota_of[arrow_of[node]] for node in d.nodes())
+    return (
+        {iota_of[node] for node in d.black} == d.black,
+        all(arrow_of[iota_of[node]] == iota_of[arrow_of[node]] for node in d.nodes()),
+    )
 
 
 def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
@@ -205,45 +199,41 @@ def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
 
 
 def test_count_preconditions_hold_on_database(monkeypatch):
-    # the Burnside count needs -w0 to commute with the arrows and to map the
-    # black nodes onto themselves; every diagram of the database has both,
-    # so its a-hyperbolic rank is counted with no walk
+    # the Burnside count needs -w0 to map the black nodes onto themselves
+    # and to commute with the arrows; every diagram of the database has
+    # both, so its a-hyperbolic rank is counted with no walk
     diagrams = [satake_of(spec) for t in canonical_types(40) for spec in real_forms(t)]
     diagrams += [complex_as_real(t) for t in canonical_types(12)]
     walked = _walk_calls(monkeypatch)
     for d in diagrams:
-        assert _keeps_black(d), d
-        assert _commutes_with_arrows(d), d
+        assert _preconditions(d) == (True, True), d
         a_hyperbolic_rank(d)
     assert walked == []
 
 
 def test_rank_falls_back_to_the_walk_outside_the_preconditions(monkeypatch):
-    # single arrows that -w0 does not map to arrows, the black set kept
-    moved_arrows = [
+    # every single arrow on A5, D5 and E6, most of which -w0 does not map
+    # to an arrow, and doubled A3 with a kept arrow under every black set,
+    # most of which -w0 does not keep
+    diagrams = [
         SatakeDiagram(t, arrows=frozenset([pair]))
         for t in (LieType("A", 5), LieType("D", 5), LieType("E", 6))
         for pair in itertools.combinations(range(1, t.rank + 1), 2)
     ]
-    moved_arrows = [d for d in moved_arrows if not _commutes_with_arrows(d)]
-    # doubled A3 with a kept arrow and black sets that -w0 does not keep
-    moved_black = [
+    diagrams += [
         SatakeDiagram(LieType("A", 3), frozenset(black), frozenset([(2, 5)]), components=2)
         for size in range(5)
         for black in itertools.combinations((1, 3, 4, 6), size)
     ]
-    moved_black = [d for d in moved_black if not _keeps_black(d)]
-    assert SatakeDiagram(LieType("A", 5), arrows=frozenset([(1, 2)])) in moved_arrows
-    assert len(moved_black) == 12
+    kept = {d: _preconditions(d) for d in diagrams}
+    assert kept[SatakeDiagram(LieType("A", 5), arrows=frozenset([(1, 2)]))] == (True, False)
+    assert sum(k == (False, True) for k in kept.values()) == 12
+    assert (False, False) not in kept.values()
     walked = _walk_calls(monkeypatch)
-    for d in moved_arrows:
-        assert _keeps_black(d), d
+    for d in diagrams:
         assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
-    for d in moved_black:
-        assert _commutes_with_arrows(d), d
-        assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count, d
-    # one walk for the rank and one for the listing, per diagram
-    assert len(walked) == 2 * (len(moved_arrows) + len(moved_black))
+    # one walk per listing, and one per rank outside the preconditions
+    assert len(walked) == len(diagrams) + sum(k != (True, True) for k in kept.values())
 
 
 def test_ranks_match_restricted_root_oracle():
