@@ -9,12 +9,14 @@ subcone fixed by it; the number of surviving free classes is the
 a-hyperbolic rank, and the 0/1 indicator vectors of those classes are the
 extreme rays of that subcone.
 
-The a-hyperbolic rank is counted without walking the classes.  On a Satake
-diagram the involution maps the black nodes onto themselves and every arrow
-onto an arrow, so it permutes the real-rank many white arrow classes, and
-by Burnside's lemma its orbits number (real rank + F) / 2, where F counts
-the classes it fixes.  A diagram built by hand that breaks either condition
-is counted by the walk that lists the classes.
+The a-hyperbolic rank is counted without walking the classes.  The
+involution reverses one run of nodes (``rootsys.iota_run``); where that run
+is empty it is the identity and the a-hyperbolic rank is the real rank.
+Otherwise, on a Satake diagram, it maps the black nodes onto themselves and
+every arrow onto an arrow, so it permutes the real-rank many white arrow
+classes, and by Burnside's lemma its orbits number (real rank + F) / 2,
+where F counts the classes it fixes.  A diagram built by hand that breaks
+either condition is counted by the walk that lists the classes.
 
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
@@ -26,7 +28,7 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from operator import eq
 
-from .rootsys import Record, iota, iota_fixed_points
+from .rootsys import Record, iota, iota_run
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
@@ -82,10 +84,10 @@ def matching_classes(d: SatakeDiagram) -> NodePartition:
     return _partition(d, range(d.node_count + 1))
 
 
-def _iota_image(d: SatakeDiagram, images: tuple[int, ...]) -> list[int]:
-    """1-based image array of the longest-element involution ``images`` on
-    the whole diagram, applied per component on doubled diagrams (index 0
-    unused)."""
+def _iota_image(d: SatakeDiagram) -> list[int]:
+    """1-based image array of the longest-element involution on the whole
+    diagram, applied per component on doubled diagrams (index 0 unused)."""
+    images = iota(d.lie_type)
     if d.components == 1:
         return [0, *images]
     n = d.lie_type.rank
@@ -95,30 +97,23 @@ def _iota_image(d: SatakeDiagram, images: tuple[int, ...]) -> list[int]:
 def antipodal_classes(d: SatakeDiagram) -> NodePartition:
     """Classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _partition(d, _iota_image(d, iota(d.lie_type)))
-
-
-def _is_identity(images: tuple[int, ...]) -> bool:
-    """Whether closed-form ``iota`` images fix every node.  Each closed form
-    that is not the identity moves node 1 or the last node, so the two ends
-    decide it without building the identity to compare against."""
-    return images[0] == 1 and images[-1] == len(images)
+    return _partition(d, _iota_image(d))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     """Dimension of the involution-fixed subcone: the number of free
-    antipodal classes.  Where the involution is the identity these are the
-    matching classes, so this is the real rank.  Otherwise, when the
-    involution maps ``d.black`` onto itself and every arrow onto an arrow,
-    it permutes the white arrow classes, and the count is
-    (real rank + F) / 2 with F the classes it fixes: the unpaired white
+    antipodal classes.  Where the involution's reversed run is empty it is
+    the identity, these are the matching classes, and this is the real rank.
+    Otherwise, when the involution maps ``d.black`` onto itself and every
+    arrow onto an arrow, it permutes the white arrow classes, and the count
+    is (real rank + F) / 2 with F the classes it fixes: the unpaired white
     nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  Like
     ``real_rank``, this takes arrows to join white nodes.  Any other
     diagram is counted by walking its classes."""
-    images = iota(d.lie_type)
-    if _is_identity(images):
+    run = iota_run(d.lie_type)
+    if not run:
         return real_rank(d)
-    image = _iota_image(d, images)
+    image = _iota_image(d)
     black, arrows = d.black, d.arrows
     lefts, rights = zip(*arrows) if arrows else ((), ())
     left_images = list(map(image.__getitem__, lefts))
@@ -130,7 +125,7 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
         return sum(map(black.isdisjoint, _orbits(d, image)))
     # the fixed white nodes, less one per arrow fixed pointwise (one fixed
     # class for its two fixed nodes), plus one per arrow reversed
-    fixed = d.components * len(iota_fixed_points(d.lie_type))
+    fixed = d.components * (d.lie_type.rank - len(run) + len(run) % 2)
     fixed -= sum(map(eq, map(image.__getitem__, black), black))
     fixed += sum(map(eq, left_images, rights)) - sum(map(eq, left_images, lefts))
     return (real_rank(d) + fixed) // 2

@@ -370,9 +370,7 @@ class _Parser:
             raise ParseError("expected an algebra name", pos)
         self.advance()
         if name == "sl":
-            n, second, field = self._args(name, frozenset(_FIELDS))
-            if field is None and second is not None:
-                raise ParseError("sl requires a field: sl(n,R), sl(n,C) or sl(n,H)", pos)
+            n, _, field = self._args(name, frozenset(_FIELDS))
             self._contrib_sl(n, field, pos)
         elif name == "su*":
             m, second, _ = self._args(name)

@@ -1,10 +1,10 @@
 """Simple complex Lie algebra types, in exact integer arithmetic.
 
 Cartan matrices, the list of types up to a rank bound with each isomorphism
-class once, and the closed forms of the diagram involution induced by -w0
-(the negated longest Weyl element) and of its fixed nodes.  The root
-enumeration and Weyl group searches that check ``iota`` are test oracles in
-``tests/conftest.py``.
+class once, and the one closed form of the diagram involution induced by -w0
+(the negated longest Weyl element): the run of nodes it reverses in place.
+The root enumeration and Weyl group searches that check ``iota`` are test
+oracles in ``tests/conftest.py``.
 ``Record``, the base of the package's value records, lives here, at the
 bottom of the package's imports.
 
@@ -159,36 +159,24 @@ def canonical_types(rank_bound: int) -> list[LieType]:
     return types
 
 
+def iota_run(t: LieType) -> range:
+    """The run of nodes that the involution induced by negating the longest
+    Weyl element reverses in place, fixing every other node: the chain of
+    A_n with n >= 2, the fork pair of D_n with n odd, and the long chain of
+    E6.  It is empty, and the involution the identity, for every other type.
+    So the involution fixes n - len(run) + len(run) % 2 nodes."""
+    n = t.rank
+    if t.letter == "A" and n > 1:
+        return range(1, n + 1)
+    if t.letter == "D" and n % 2 == 1:
+        return range(n - 1, n + 1)
+    if t.letter == "E" and n == 6:
+        return range(1, 6)
+    return range(1, 1)
+
+
 def iota(t: LieType) -> tuple[int, ...]:
-    """Closed form of the involution induced by negating the longest Weyl
-    element, as the 1-based images of the nodes.
-
-    Nontrivial exactly for A_n (chain reversal), D_n with n odd (fork
-    swap), and E6 (chain reversal fixing the branch node); the identity for
-    every other type.
-    """
-    n = t.rank
-    if t.letter == "A":
-        return tuple(range(n, 0, -1))
-    if t.letter == "D" and n % 2 == 1:
-        images = list(range(1, n + 1))
-        images[n - 2], images[n - 1] = n, n - 1
-        return tuple(images)
-    if t.letter == "E" and n == 6:
-        return (5, 4, 3, 2, 1, 6)
-    return tuple(range(1, n + 1))
-
-
-def iota_fixed_points(t: LieType) -> range | tuple[int, ...]:
-    """The nodes that ``iota`` fixes, in increasing order: the middle node
-    of A_n for odd n, nodes 1..n-2 of D_n for odd n, nodes 3 and 6 of E6,
-    and every node of the other types.  Long runs come as a ``range``, so
-    their length costs nothing at any rank."""
-    n = t.rank
-    if t.letter == "A":
-        return ((n + 1) // 2,) if n % 2 else ()
-    if t.letter == "D" and n % 2 == 1:
-        return range(1, n - 1)
-    if t.letter == "E" and n == 6:
-        return (3, 6)
-    return range(1, n + 1)
+    """The involution induced by negating the longest Weyl element, as the
+    1-based images of the nodes: ``iota_run`` reversed in place."""
+    run = iota_run(t)
+    return (*range(1, run.start), *reversed(run), *range(run.stop, t.rank + 1))

@@ -5,8 +5,9 @@ automorphisms, an exact linear-algebra rank oracle with cone membership
 tests for weight tuples, a union-find node-class oracle, root enumeration
 and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
 -w0, both ranks from the restricted root system, a permutation search
-deciding whether two products of Satake diagrams are isomorphic, and a
-character-by-character reference lexer for algebra expressions."""
+deciding whether two products of Satake diagrams are isomorphic, a
+character-by-character reference lexer for algebra expressions, and the
+example families of homogeneous spaces with their recorded verdicts."""
 
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ from functools import lru_cache
 
 import pytest
 
-from ahrank.cones import NodePartition
-from ahrank.notation import _MAX_INT_DIGITS, ParseError
-from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota
+from ahrank.catalog import FamilyRow
+from ahrank.cones import NodePartition, ReductiveAlgebra, rank_profile
+from ahrank.decision import Verdict, decide
+from ahrank.notation import _MAX_INT_DIGITS, ParseError, parse
+from ahrank.rootsys import LieType, Record, canonical_types, cartan_matrix, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
 
 
@@ -544,3 +547,113 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", length))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# homogeneous-space example families, and single Table-2 rows
+
+def _verdict(g: ReductiveAlgebra, h_template: str, params: dict[str, int]) -> Verdict:
+    """Run the decision engine on a parsed G and a template for H."""
+    return decide(rank_profile(g), rank_profile(parse(h_template, params))).verdict
+
+
+def row_verdict(row: FamilyRow, params: dict[str, int]) -> Verdict:
+    """Instantiate one row and run the decision engine on it."""
+    return _verdict(parse(row.g_template, params), row.h_template, params)
+
+
+class ExampleFamily(Record):
+    """A parameterized family of homogeneous spaces with a known verdict,
+    plus the smallest parameter choice at which every factor is a genuine
+    noncompact algebra."""
+
+    __slots__ = ("label", "g_template", "h_template", "smallest", "expected", "note")
+
+    def __init__(
+        self,
+        label: str,
+        g_template: str,
+        h_template: str,
+        smallest: dict[str, int],
+        expected: str = Verdict.ADMITS_NON_VIRTUALLY_ABELIAN.value,
+        note: str | None = None,
+    ) -> None:
+        Record.__init__(self, label, g_template, h_template, smallest, expected, note)
+
+
+NO_COMPACT_FORM_FAMILIES: tuple[ExampleFamily, ...] = (
+    ExampleFamily(
+        "SL(4k+2l,R)/SO(2k,2k)xSp(l,R)",
+        "sl(4k+2l,R)",
+        "so(2k,2k) x sp(l,R)",
+        {"k": 1, "l": 1},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+    ),
+    ExampleFamily(
+        "SL(2k+2l,R)/Sp(k,R)xSp(l,R)",
+        "sl(2k+2l,R)",
+        "sp(k,R) x sp(l,R)",
+        {"k": 1, "l": 1},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+    ),
+    ExampleFamily(
+        "SL(4k+4l,R)/SO(2k,2k)xSO(2l,2l)",
+        "sl(4k+4l,R)",
+        "so(2k,2k) x so(2l,2l)",
+        {"k": 1, "l": 1},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+    ),
+    ExampleFamily(
+        "SL(4k+2l+1,R)/SO(2k,2k)xSO(l,l+1)",
+        "sl(4k+2l+1,R)",
+        "so(2k,2k) x so(l,l+1)",
+        {"k": 1, "l": 1},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+    ),
+    ExampleFamily(
+        "SU*(4k+2)/U(s,r-s)xSp(t,2k+1-r-t)",
+        "su*(4k+2)",
+        "u(s,r-s) x sp(t,2k+1-r-t)",
+        {"k": 2, "s": 1, "t": 2, "r": 2},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+        note="constraint s+t = k+1, 1 <= r <= 2k+1",
+    ),
+    ExampleFamily(
+        "SU*(4k)/U(s,r-s)xSp(t,2k-r-t)",
+        "su*(4k)",
+        "u(s,r-s) x sp(t,2k-r-t)",
+        {"k": 2, "s": 1, "t": 1, "r": 2},
+        Verdict.NO_NON_VIRTUALLY_ABELIAN.value,
+        note=(
+            "constraint s+t = k, 1 <= r <= 2k; quaternionic dimensions force "
+            "the symplectic factor's second argument to be 2k-r-t"
+        ),
+    ),
+)
+
+ADMITTING_FAMILIES: tuple[ExampleFamily, ...] = (
+    ExampleFamily(
+        "SL(2k+2l+2,R)/SO(k,k+1)xSO(l,l+1)",
+        "sl(2k+2l+2,R)",
+        "so(k,k+1) x so(l,l+1)",
+        {"k": 1, "l": 1},
+    ),
+    ExampleFamily(
+        "SL(2k+2l+2,R)/SO(k,k)xSO(l,l)",
+        "sl(2k+2l+2,R)",
+        "so(k,k) x so(l,l)",
+        {"k": 1, "l": 1},
+    ),
+    ExampleFamily(
+        "E6-I/{SL(3,C)xSU(2,1)}/Z_3",
+        "e6(I)",
+        "{sl(3,C) x su(2,1)}/Z_3",
+        {},
+    ),
+)
+
+
+def example_verdict(family: ExampleFamily, params: dict[str, int] | None = None) -> Verdict:
+    env = dict(family.smallest)
+    env.update(params or {})
+    return _verdict(parse(family.g_template, env), family.h_template, env)

@@ -7,22 +7,18 @@ criterion (a failed assertion marks the criterion failed).
 from __future__ import annotations
 
 from conftest import (
+    ADMITTING_FAMILIES,
+    NO_COMPACT_FORM_FAMILIES,
     antipodal_equations,
     database_specs,
+    example_verdict,
     longest_element_negation,
     matching_equations,
+    row_verdict,
     solution_dimension,
 )
 
-from ahrank.catalog import (
-    ADMITTING_FAMILIES,
-    NO_COMPACT_FORM_FAMILIES,
-    OPEN_CASE,
-    anomaly_scan,
-    example_verdict,
-    row_verdict,
-    verify_table2,
-)
+from ahrank.catalog import OPEN_CASE, anomaly_scan, verify_table2
 from ahrank.cones import (
     a_hyperbolic_rank,
     b_plus_generators,

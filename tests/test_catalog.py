@@ -5,16 +5,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import (
+    ADMITTING_FAMILIES,
+    NO_COMPACT_FORM_FAMILIES,
+    example_verdict,
+    row_verdict,
+)
 
 from ahrank.catalog import (
-    ADMITTING_FAMILIES,
     DISPUTED_ENTRIES,
-    NO_COMPACT_FORM_FAMILIES,
     OPEN_CASE,
     TABLE2,
     anomaly_scan,
-    example_verdict,
-    row_verdict,
     table1_predicted_anomalies,
     verify_table1,
     verify_table2,
@@ -54,6 +56,20 @@ def test_verify_table2_passes():
 def test_verify_table2_bound_3():
     report = verify_table2(3)
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("bound,instances", [(2, 72), (3, 83), (4, 107)])
+def test_verify_table2_report_pinned(bound, instances):
+    # the disputed entries and the open case never hit the skip, so the
+    # degenerate row-4 instance is the only one at every bound
+    skip = (
+        "3-symmetric table, row 4",
+        (("a", 2), ("n", 2), ("s", 1), ("t", 0)),
+        "G not simple noncompact",
+    )
+    report = verify_table2(bound)
+    assert (report.rows_checked, report.instances_checked) == (74, instances)
+    assert (report.failures, report.skips) == ((), (skip,))
 
 
 def test_open_case_undetermined():

@@ -215,6 +215,10 @@ def test_parse_render_round_trip(text):
         ("sl(2k,R)", "unbound parameter", 4),
         ("su*(7)", "even", 0),
         ("sl(4)", "field", 0),
+        ("sl(3)", "sl requires a field", 0),
+        ("sl(3,2)", "sl requires a field", 0),
+        ("su*(4,2)", "su* takes a single argument", 0),
+        ("so*(4,2)", "so* takes a single argument", 0),
         ("so(3,4) y", "between factors", 8),
         ("so(3,", "integer argument", 5),
         ("su(1)", "zero algebra", 0),

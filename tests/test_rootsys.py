@@ -16,7 +16,7 @@ from conftest import (
     weyl_order,
 )
 
-from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota, iota_fixed_points
+from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota, iota_run
 
 ALL_SMALL_TYPES = (
     [LieType("A", r) for r in range(1, 9)]
@@ -155,13 +155,15 @@ def test_iota_closed_forms():
     assert iota(LieType("D", 5)) == (1, 2, 3, 5, 4)
 
 
-def test_iota_fixed_points_rule():
-    for t in [*canonical_types(60), LieType("A", 801), LieType("D", 401), LieType("D", 3)]:
-        images = iota(t)
-        fixed = tuple(i for i in range(1, t.rank + 1) if images[i - 1] == i)
-        assert tuple(iota_fixed_points(t)) == fixed, t
-    # odd D is never listed node by node
-    assert iota_fixed_points(LieType("D", 401)) == range(1, 400)
+def test_iota_run_rule():
+    # the reversed run alone decides whether iota is the identity, and how
+    # many nodes it fixes
+    extra = [LieType("A", 1), LieType("D", 3), LieType("A", 801), LieType("D", 401)]
+    for t in [*canonical_types(60), *extra]:
+        n, run, images = t.rank, iota_run(t), iota(t)
+        assert (not run) == (images == tuple(range(1, n + 1))), t
+        fixed = sum(images[i - 1] == i for i in range(1, n + 1))
+        assert n - len(run) + len(run) % 2 == fixed, t
 
 
 @pytest.mark.parametrize(
