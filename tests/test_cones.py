@@ -29,7 +29,7 @@ from ahrank.cones import (
     matching_classes,
     rank_profile,
 )
-from ahrank.rootsys import LieType, canonical_types, iota
+from ahrank.rootsys import LieType, canonical_types, iota, iota_run
 from ahrank.satake import (
     InvalidRealFormError,
     RealFormSpec,
@@ -121,6 +121,15 @@ def test_trivial_involution_gives_equality(database):
         images = iota(diagram.lie_type)
         if images == tuple(range(1, len(images) + 1)):
             assert a_hyperbolic_rank(diagram) == real_rank(diagram), spec
+
+
+def test_identity_test_reads_only_the_ends():
+    # a_hyperbolic_rank takes iota as the identity exactly when its reversed
+    # run is empty
+    extra = [LieType("A", 1), LieType("D", 3), LieType("D", 401), LieType("A", 801)]
+    for t in [*canonical_types(60), *extra]:
+        images = iota(t)
+        assert (not iota_run(t)) == (images == tuple(range(1, t.rank + 1))), t
 
 
 def test_rank_linear_algebra_oracle(database):

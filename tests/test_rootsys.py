@@ -155,15 +155,17 @@ def test_iota_closed_forms():
     assert iota(LieType("D", 5)) == (1, 2, 3, 5, 4)
 
 
-def test_iota_run_rule():
-    # the reversed run alone decides whether iota is the identity, and how
-    # many nodes it fixes
-    extra = [LieType("A", 1), LieType("D", 3), LieType("A", 801), LieType("D", 401)]
-    for t in [*canonical_types(60), *extra]:
+def test_iota_fixed_points_rule():
+    # iota fixes every node outside its reversed run, and the middle node of
+    # an odd run
+    for t in [*canonical_types(60), LieType("A", 801), LieType("D", 401), LieType("D", 3)]:
         n, run, images = t.rank, iota_run(t), iota(t)
-        assert (not run) == (images == tuple(range(1, n + 1))), t
-        fixed = sum(images[i - 1] == i for i in range(1, n + 1))
-        assert n - len(run) + len(run) % 2 == fixed, t
+        fixed = tuple(i for i in range(1, n + 1) if images[i - 1] == i)
+        middle = (run[len(run) // 2],) if len(run) % 2 else ()
+        assert tuple(sorted((*range(1, run.start), *middle, *range(run.stop, n + 1)))) == fixed, t
+        assert n - len(run) + len(run) % 2 == len(fixed), t
+    # odd D reverses only the fork pair
+    assert iota_run(LieType("D", 401)) == range(400, 402)
 
 
 @pytest.mark.parametrize(
