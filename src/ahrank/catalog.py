@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from .cones import ReductiveAlgebra, factor_profile, rank_profile
+from .cones import RankProfile, ReductiveAlgebra, factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
 from .rootsys import Record, canonical_types
@@ -393,10 +393,12 @@ def _instances(row: FamilyRow, bound: int) -> Iterator[dict[str, int]]:
             yield dict(zip(row.param_names, values))
 
 
-def _simple_noncompact(alg: ReductiveAlgebra) -> bool:
+def _simple_noncompact(alg: ReductiveAlgebra, profile: RankProfile) -> bool:
+    """Whether ``alg``, with rank profile ``profile``, is one simple
+    noncompact factor: with no center, its real rank is the factor's."""
     if len(alg.simple_factors) != 1 or alg.compact_center_dim or alg.split_center_dim:
         return False
-    return factor_profile(alg.simple_factors[0]).real_rank >= 1
+    return profile.real_rank >= 1
 
 
 def verify_table2(param_bound: int) -> VerificationReport:
@@ -414,12 +416,13 @@ def verify_table2(param_bound: int) -> VerificationReport:
     for row in rows:
         for params in _instances(row, param_bound):
             g = parse(row.g_template, params)
-            if not _simple_noncompact(g):
+            g_profile = rank_profile(g)
+            if not _simple_noncompact(g, g_profile):
                 skips.append((row.source, tuple(sorted(params.items())), "G not simple noncompact"))
                 continue
             instances += 1
             h = parse(row.h_template, params)
-            verdict = decide(rank_profile(g), rank_profile(h)).verdict
+            verdict = decide(g_profile, rank_profile(h)).verdict
             if verdict.value != row.expected:
                 failures.append(
                     (row.source, tuple(sorted(params.items())), verdict.value, row.expected)

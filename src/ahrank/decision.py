@@ -37,6 +37,13 @@ class TraceStep(Record):
 
     __slots__ = ("condition", "lhs", "op", "rhs", "holds")
 
+    def __init__(self, condition: str, lhs: int, op: str, rhs: int, holds: bool) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
+
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
@@ -49,6 +56,10 @@ class TraceStep(Record):
 
 class Decision(Record):
     __slots__ = ("verdict", "trace")
+
+    def __init__(self, verdict: Verdict, trace: tuple[TraceStep, ...]) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "trace", trace)
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +112,10 @@ class Obstruction(Record):
     """Result of the embedding filter: which rank dominations fail."""
 
     __slots__ = ("obstructed", "witnesses")
+
+    def __init__(self, obstructed: bool, witnesses: tuple[str, ...]) -> None:
+        object.__setattr__(self, "obstructed", obstructed)
+        object.__setattr__(self, "witnesses", witnesses)
 
     def to_dict(self) -> dict:
         return {"obstructed": self.obstructed, "witnesses": list(self.witnesses)}

@@ -39,17 +39,22 @@ by ``satake.canonical`` when the algebra is built.
 from __future__ import annotations
 
 import re
+import string
 
 from .cones import ReductiveAlgebra
 from .rootsys import Record
 from .satake import EXCEPTIONAL, RealFormSpec
 
 _DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
-#: One alternative per token kind: whitespace, NAME, INT, SYM, the Unicode
-#: times and minus signs, and any other character (an error).  ``\d`` and
-#: ``\s`` accept exactly what ``str.isdecimal`` and ``str.isspace`` accept.
-_TOKEN = re.compile(r"(\s+)|([A-Za-zℝℂℍℤ]+\*?)|(\d+)|([(),^/{}\[\]+\-*_])|(×)|(−)|(.)", re.S)
-_FIELDS = {"r", "c", "h"}
+#: The lexer's pieces, which tile the text: a whitespace run, a letter run
+#: with an optional trailing "*" (NAME), a digit run (INT), or any single
+#: other character (a symbol, the Unicode times or minus sign, or an error).
+#: Each piece is decided by its first character, so matching never
+#: backtracks.  ``\d`` and ``\s`` accept exactly what ``str.isdecimal`` and
+#: ``str.isspace`` accept.
+_PIECES = re.compile(r"\s+|[A-Za-zℝℂℍℤ]+\*?|\d+|.", re.S).findall
+_LETTERS = string.ascii_letters + "ℝℂℍℤ"
+_SYMBOLS = "(),^/{}[]+-*_"
 #: Lookups derived from ``satake.EXCEPTIONAL``: the exceptional types as
 #: (lower-case letter, rank), every form label ("c" for a complex algebra
 #: viewed as real), and each lower-case family label ("e6_iv") to its family.
@@ -76,117 +81,122 @@ class AlgebraExpression(Record):
 
     __slots__ = ("source", "algebra", "discarded")
 
+    def __init__(self, source: str, algebra: ReductiveAlgebra, discarded: tuple[str, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "discarded", discarded)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as (kind, text, position), kind one of NAME, INT, SYM, END.
 
-    Every alternative of ``_TOKEN`` is decided by its first character, so
-    matching never backtracks; whitespace is its own alternative so that a
-    trailing space is skipped rather than reported by the catch-all.
+    One ``findall`` splits the text into the pieces of ``_PIECES``; each is
+    classified by its first character, and its position is the sum of the
+    lengths of the pieces before it.  Whitespace is its own piece, so a
+    trailing space is skipped rather than reported as an unexpected
+    character.
     """
     tokens = []
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        if group == 1:
-            continue
-        pos = match.start()
-        if group == 2:
-            tokens.append(("NAME", match[2].lower().translate(_DOUBLE_STRUCK), pos))
-        elif group == 3:
-            if match.end() - pos > _MAX_INT_DIGITS:
+    append = tokens.append
+    pos = 0
+    for piece in _PIECES(text):
+        first = piece[0]
+        if first in _SYMBOLS:
+            append(("SYM", piece, pos))
+        elif first in _LETTERS:
+            name = piece.lower()
+            append(("NAME", name if name.isascii() else name.translate(_DOUBLE_STRUCK), pos))
+        elif first.isdecimal():
+            if len(piece) > _MAX_INT_DIGITS:
                 raise ParseError(f"integer literal longer than {_MAX_INT_DIGITS} digits", pos)
-            tokens.append(("INT", match[3], pos))
-        elif group == 4:
-            tokens.append(("SYM", match[4], pos))
-        elif group == 5:  # multiplication sign, same role as "x"
-            tokens.append(("NAME", "x", pos))
-        elif group == 6:  # minus sign
-            tokens.append(("SYM", "-", pos))
-        else:
-            raise ParseError(f"unexpected character {match[7]!r}", pos)
-    tokens.append(("END", "", len(text)))
+            append(("INT", piece, pos))
+        elif first == "×":  # multiplication sign, same role as "x"
+            append(("NAME", "x", pos))
+        elif first == "−":  # minus sign
+            append(("SYM", "-", pos))
+        elif not first.isspace():
+            raise ParseError(f"unexpected character {piece!r}", pos)
+        pos += len(piece)
+    append(("END", "", pos))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token list.  ``index`` is the next token;
+    it never passes END, since only tokens of another kind are consumed."""
+
     def __init__(self, text: str, params: dict[str, int] | None) -> None:
         self.tokens = _tokenize(text)
         self.index = 0
-        self.env = dict(params or {})
+        self.env = params or {}
         self.factors: list[RealFormSpec] = []
         self.compact_center = 0
         self.split_center = 0
         self.discarded: list[str] = []
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        if token[0] != "END":
-            self.index += 1
-        return token
-
-    def expect_sym(self, symbol: str, what: str) -> tuple[str, str, int]:
-        kind, text, pos = self.peek()
+    def expect_sym(self, symbol: str, what: str) -> None:
+        kind, text, pos = self.tokens[self.index]
         if kind != "SYM" or text != symbol:
             raise ParseError(f"expected {what}", pos)
-        return self.advance()
+        self.index += 1
 
     def _note(self, message: str) -> None:
         if message not in self.discarded:
             self.discarded.append(message)
 
-    # -- structural noise: braces, brackets, quotients ----------------------
+    # -- structural noise: braces, brackets, quotients, separators ----------
 
     def _skip_structural(self) -> None:
+        tokens = self.tokens
         while True:
-            kind, text, _ = self.peek()
-            if kind == "SYM" and text in "{}[]":
+            kind, text, _ = tokens[self.index]
+            if kind != "SYM":
+                return
+            if text in "{}[]":
                 self._note("grouping braces")
-                self.advance()
-                continue
-            if kind == "SYM" and text == "/":
+                self.index += 1
+            elif text == "/":
                 self._skip_quotient()
-                continue
-            return
+            else:
+                return
 
     def _skip_quotient(self) -> None:
         self._note("discrete quotient")
-        self.advance()  # the '/'
-        kind, text, pos = self.peek()
+        tokens = self.tokens
+        self.index += 1  # the '/'
+        kind, text, pos = tokens[self.index]
         if kind == "SYM" and text in "{[":
             self._skip_group()
             return
-        if kind != "NAME" or self._at_separator():
+        if kind != "NAME" or text[0] == "x":  # no group, or a separator
             raise ParseError("expected a discrete group after '/'", pos)
-        self.advance()
-        kind, text, pos = self.peek()
+        self.index += 1
+        kind, text, pos = tokens[self.index]
         if kind == "SYM" and text == "_":
-            self.advance()
-            kind, text, pos = self.peek()
+            self.index += 1
+            kind, text, pos = tokens[self.index]
             if kind == "SYM" and text == "{":
                 self._skip_group()
-            elif kind == "INT" or (kind == "NAME" and not self._at_separator()):
-                self.advance()
+            elif kind == "INT" or (kind == "NAME" and text[0] != "x"):
+                self.index += 1
             else:
                 raise ParseError("expected a subscript after '_'", pos)
         elif kind == "INT":
-            self.advance()
+            self.index += 1
 
     def _skip_group(self) -> None:
         """Skip a bracketed quotient group, from its opening bracket to the
         matching close; an unclosed group, or one holding only brackets, is
         an error at its opening."""
-        opening = self.peek()[2]
+        tokens = self.tokens
+        opening = tokens[self.index][2]
         depth = 0
         empty = True
         while True:
-            kind, text, _ = self.advance()
+            kind, text, _ = tokens[self.index]
             if kind == "END":
                 raise ParseError("unclosed quotient group", opening)
+            self.index += 1
             if kind == "SYM" and text in "{[":
                 depth += 1
             elif kind == "SYM" and text in "}]":
@@ -199,109 +209,115 @@ class _Parser:
                 empty = False
 
     def _at_separator(self) -> bool:
-        kind, text, _ = self.peek()
-        if kind == "SYM" and text == "*":
-            return True
-        # An unspaced product like "U(1)xU(1)" lexes the separator into the
-        # next name; no atom starts with "x", so such a name is a separator.
-        return kind == "NAME" and text.startswith("x")
-
-    def _consume_separator(self) -> None:
-        kind, text, pos = self.peek()
-        if kind == "NAME" and len(text) > 1 and text.startswith("x"):
-            self.tokens[self.index] = ("NAME", text[1:], pos + 1)
-            return
-        self.advance()
+        """Consume a product separator if one is next.  An unspaced product
+        like "U(1)xU(1)" lexes the separator into the next name; no atom
+        starts with "x", so such a name is a separator, and its tail is left
+        as the next token."""
+        i = self.index
+        kind, text, pos = self.tokens[i]
+        if kind == "NAME" and text[0] == "x":
+            if len(text) > 1:
+                self.tokens[i] = ("NAME", text[1:], pos + 1)
+                return True
+        elif kind != "SYM" or text != "*":
+            return False
+        self.index = i + 1
+        return True
 
     # -- arithmetic arguments ----------------------------------------------
 
-    def _term(self) -> int:
-        kind, text, pos = self.peek()
-        if kind == "INT":
-            self.advance()
-            value = int(text)
-            kind, text, pos = self.peek()
-            if kind == "NAME" and not text.startswith("x"):
-                self.advance()
-                return value * self._lookup(text, pos)
-            return value
-        if kind == "NAME":
-            self.advance()
-            return self._lookup(text, pos)
-        raise ParseError("expected an integer argument", pos)
-
-    def _lookup(self, name: str, pos: int) -> int:
-        if name not in self.env:
-            raise ParseError(f"unbound parameter {name!r}", pos)
-        return self.env[name]
-
     def _arith(self) -> int:
+        """arg := ["-"] term (("+" | "-") term)*, term := INT [NAME] | NAME;
+        a NAME starting with "x" after an INT is a separator, not a factor."""
+        tokens, env = self.tokens, self.env
+        i = self.index
+        kind, text, pos = tokens[i]
         sign = 1
-        kind, text, _ = self.peek()
         if kind == "SYM" and text in "+-":
-            self.advance()
             sign = -1 if text == "-" else 1
-        total = sign * self._term()
+            i += 1
+            kind, text, pos = tokens[i]
+        total = 0
         while True:
-            kind, text, _ = self.peek()
-            if kind == "SYM" and text in "+-":
-                self.advance()
-                sign = -1 if text == "-" else 1
-                total += sign * self._term()
+            if kind == "INT":
+                value = int(text)
+                i += 1
+                kind, text, pos = tokens[i]
+                if kind == "NAME" and text[0] != "x":
+                    if text not in env:
+                        raise ParseError(f"unbound parameter {text!r}", pos)
+                    value *= env[text]
+                    i += 1
+                    kind, text, pos = tokens[i]
+            elif kind == "NAME":
+                if text not in env:
+                    raise ParseError(f"unbound parameter {text!r}", pos)
+                value = env[text]
+                i += 1
+                kind, text, pos = tokens[i]
             else:
+                raise ParseError("expected an integer argument", pos)
+            total += sign * value
+            if kind != "SYM" or text not in "+-":
+                self.index = i
                 return total
+            sign = -1 if text == "-" else 1
+            i += 1
+            kind, text, pos = tokens[i]
 
-    def _args(self, name: str, field_names: frozenset[str] = frozenset()):
+    def _args(self, name: str, fields: frozenset[str]) -> tuple[int, int | None, str | None]:
         """Parse "(" arg ["," (arg | field)] ")"; returns (first, second, field)."""
-        open_paren = self.expect_sym("(", f"'(' after {name}")[2]
+        tokens = self.tokens
+        kind, text, open_paren = tokens[self.index]
+        if kind != "SYM" or text != "(":
+            raise ParseError(f"expected '(' after {name}", open_paren)
+        self.index += 1
         first = self._arith()
-        second = None
-        field = None
-        kind, text, _ = self.peek()
+        second = field = None
+        kind, text, pos = tokens[self.index]
         if kind == "SYM" and text == ",":
-            self.advance()
-            kind, text, _ = self.peek()
-            if kind == "NAME" and text in field_names and text not in self.env:
+            self.index += 1
+            kind, text, pos = tokens[self.index]
+            if kind == "NAME" and text in fields and text not in self.env:
                 field = text
-                self.advance()
+                self.index += 1
             else:
                 second = self._arith()
-        self.expect_sym(")", f"')' closing the arguments of {name}")
+            kind, text, pos = tokens[self.index]
+        if kind != "SYM" or text != ")":
+            raise ParseError(f"expected ')' closing the arguments of {name}", pos)
+        self.index += 1
         if first < 0 or (second is not None and second < 0):
             raise ParseError(f"negative dimension in {name}(...)", open_paren)
         return first, second, field
 
-    # -- factor contributions ----------------------------------------------
+    # -- factor contributions: (first, second, field, position) ------------
 
-    def _add(self, family: str, *params: int) -> None:
-        self.factors.append(RealFormSpec(family, tuple(params)))
-
-    def _contrib_su(self, p: int, q: int | None) -> None:
+    def _contrib_su(self, p: int, q: int | None, field: str | None, pos: int) -> None:
         if q is None or min(p, q) == 0:
             n = p if q is None else p + q
             if n >= 2:
-                self._add("compact_A", n - 1)
+                self.factors.append(RealFormSpec("compact_A", (n - 1,)))
         else:
-            self._add("su_pq", p, q)
+            self.factors.append(RealFormSpec("su_pq", (p, q)))
 
-    def _contrib_su_star(self, m: int, pos: int) -> None:
+    def _contrib_su_star(self, m: int, second: int | None, field: str | None, pos: int) -> None:
+        if second is not None:
+            raise ParseError("su* takes a single argument", pos)
         if m % 2 or m == 0:
             raise ParseError(f"su* takes a positive even argument, got {m}", pos)
-        self._add("su_star", m)
+        self.factors.append(RealFormSpec("su_star", (m,)))
 
-    def _contrib_sl(self, n: int, field: str | None, pos: int) -> None:
+    def _contrib_sl(self, n: int, second: int | None, field: str | None, pos: int) -> None:
         if field is None:
             raise ParseError("sl requires a field: sl(n,R), sl(n,C) or sl(n,H)", pos)
         if n == 0:
             raise ParseError("sl(0,...) is not an algebra", pos)
-        if field == "r":
-            if n >= 2:
-                self._add("sl_R", n)
-        elif field == "c":
-            if n >= 2:
-                self._add("complex_A", n - 1)
-        else:  # quaternionic: sl(n,H) = su*(2n)
-            self._contrib_su_star(2 * n, pos)
+        if field == "h":  # quaternionic: sl(n,H) = su*(2n)
+            self._contrib_su_star(2 * n, None, None, pos)
+        elif n >= 2:
+            family, rank = ("sl_R", n) if field == "r" else ("complex_A", n - 1)
+            self.factors.append(RealFormSpec(family, (rank,)))
 
     def _contrib_so_n(self, kind: str, n: int) -> None:
         """so(n) for kind "compact", so(n,C) for kind "complex"; so(2) = T^1
@@ -311,9 +327,9 @@ class _Parser:
             if kind == "complex":
                 self.split_center += 1
         elif n >= 3:
-            self._add(f"{kind}_{'B' if n % 2 else 'D'}", n // 2)
+            self.factors.append(RealFormSpec(f"{kind}_{'B' if n % 2 else 'D'}", (n // 2,)))
 
-    def _contrib_so(self, p: int, q: int | None, field: str | None) -> None:
+    def _contrib_so(self, p: int, q: int | None, field: str | None, pos: int) -> None:
         if field == "c":
             self._contrib_so_n("complex", p)
         elif q is None or min(p, q) == 0:
@@ -321,160 +337,158 @@ class _Parser:
         elif p == q == 1:  # so(1,1) = R^1
             self.split_center += 1
         else:
-            self._add("so_pq", p, q)
+            self.factors.append(RealFormSpec("so_pq", (p, q)))
 
-    def _contrib_so_star(self, m: int, pos: int) -> None:
+    def _contrib_spin(self, p: int, q: int | None, field: str | None, pos: int) -> None:
+        self._note("covering prefix Spin")
+        self._contrib_so(p, q, field, pos)
+
+    def _contrib_so_star(self, m: int, second: int | None, field: str | None, pos: int) -> None:
+        if second is not None:
+            raise ParseError("so* takes a single argument", pos)
         if m % 2:
             raise ParseError(f"so* takes an even argument, got {m}", pos)
-        if m == 0:
-            return
         if m == 2:
             self.compact_center += 1
-        else:
-            self._add("so_star", m)
+        elif m:
+            self.factors.append(RealFormSpec("so_star", (m,)))
 
-    def _contrib_sp(self, p: int, q: int | None, field: str | None) -> None:
+    def _contrib_sp(self, p: int, q: int | None, field: str | None, pos: int) -> None:
         if field is not None:
             if p >= 1:
-                self._add("sp_R" if field == "r" else "complex_C", p)
-            return
-        if q is None or min(p, q) == 0:
+                self.factors.append(RealFormSpec("sp_R" if field == "r" else "complex_C", (p,)))
+        elif q is None or min(p, q) == 0:
             n = p if q is None else p + q
             if n >= 1:
-                self._add("compact_C", n)
-            return
-        self._add("sp_pq", p, q)
-
-    def _contrib_u(self, p: int, q: int | None) -> None:
-        total = p if q is None else p + q
-        if total >= 1:
-            self.compact_center += 1
-        self._contrib_su(p, q)
-
-    def _contrib_exceptional(self, letter: str, rank: int, form: str | None, pos: int) -> None:
-        if form is None:
-            self._add(f"compact_{letter.upper()}", rank)
-        elif form == "c":
-            self._add(f"complex_{letter.upper()}", rank)
-        elif (family := _EXCEPTIONAL_FAMILY.get(f"{letter}{rank}_{form}")) is not None:
-            self._add(family)
+                self.factors.append(RealFormSpec("compact_C", (n,)))
         else:
-            raise ParseError(f"unknown form {form!r} for {letter}{rank}", pos)
+            self.factors.append(RealFormSpec("sp_pq", (p, q)))
+
+    def _contrib_u(self, p: int, q: int | None, field: str | None, pos: int) -> None:
+        if (p if q is None else p + q) >= 1:
+            self.compact_center += 1
+        self._contrib_su(p, q, field, pos)
 
     # -- atoms ---------------------------------------------------------------
 
     def _atom(self) -> None:
-        self._skip_structural()
-        kind, name, pos = self.peek()
+        tokens = self.tokens
+        kind, name, pos = tokens[self.index]
         if kind != "NAME":
-            raise ParseError("expected an algebra name", pos)
-        self.advance()
-        if name == "sl":
-            n, _, field = self._args(name, frozenset(_FIELDS))
-            self._contrib_sl(n, field, pos)
-        elif name == "su*":
-            m, second, _ = self._args(name)
-            if second is not None:
-                raise ParseError("su* takes a single argument", pos)
-            self._contrib_su_star(m, pos)
-        elif name == "su":
-            p, q, _ = self._args(name)
-            self._contrib_su(p, q)
-        elif name == "so*":
-            m, second, _ = self._args(name)
-            if second is not None:
-                raise ParseError("so* takes a single argument", pos)
-            self._contrib_so_star(m, pos)
-        elif name in ("so", "spin"):
-            if name == "spin":
-                self._note("covering prefix Spin")
-            p, q, field = self._args(name, frozenset({"c"}))
-            self._contrib_so(p, q, field)
-        elif name == "sp":
-            p, q, field = self._args(name, frozenset({"r", "c"}))
-            self._contrib_sp(p, q, field)
-        elif name == "u":
-            p, q, _ = self._args(name)
-            self._contrib_u(p, q)
-        elif name == "s":
-            self._s_construction()
-        elif name == "t":
-            self.expect_sym("^", "'^' after T")
-            k = self._arith()
+            self._skip_structural()
+            kind, name, pos = tokens[self.index]
+            if kind != "NAME":
+                raise ParseError("expected an algebra name", pos)
+        entry = _ATOMS.get(name)
+        if entry is None:
+            raise ParseError(f"unknown atom {name!r}", pos)
+        self.index += 1
+        fields, contribute = entry
+        if fields is None:
+            contribute(self, name, pos)
+        else:
+            contribute(self, *self._args(name, fields), pos)
+
+    def _center(self, name: str, pos: int) -> None:
+        """T^k, a compact center, or R^k, a split one."""
+        self.expect_sym("^", f"'^' after {name.upper()}")
+        k = self._arith()
+        if name == "t":
             if k < 0:
                 raise ParseError("torus dimension must be nonnegative", pos)
             self.compact_center += k
-        elif name == "r":
-            self.expect_sym("^", "'^' after R")
-            k = self._arith()
+        else:
             if k < 0:
                 raise ParseError("split-abelian dimension must be nonnegative", pos)
             self.split_center += k
-        elif name in ("e", "f", "g"):
-            self._exceptional_atom(name, pos)
-        else:
-            raise ParseError(f"unknown atom {name!r}", pos)
 
     def _exceptional_atom(self, letter: str, pos: int) -> None:
-        kind, text, _ = self.peek()
+        tokens = self.tokens
+        i = self.index
+        kind, text, _ = tokens[i]
         if kind != "INT":
             raise ParseError(f"unknown atom {letter!r}", pos)
         rank = int(text)
         if (letter, rank) not in _EXCEPTIONAL_TYPES:
             raise ParseError(f"unknown exceptional type {letter}{rank}", pos)
-        self.advance()
-        form = None
-        kind, text, _ = self.peek()
-        if kind == "SYM" and text == "(":
-            self.advance()
-            kind, form, form_pos = self.peek()
-            if kind != "NAME" or form not in _FORM_LABELS:
-                raise ParseError(f"expected a form label for {letter}{rank}", form_pos)
-            self.advance()
-            self.expect_sym(")", f"')' closing the form of {letter}{rank}")
-        self._contrib_exceptional(letter, rank, form, pos)
+        kind, text, _ = tokens[i + 1]
+        if kind != "SYM" or text != "(":
+            self.index = i + 1
+            self.factors.append(RealFormSpec(f"compact_{letter.upper()}", (rank,)))
+            return
+        kind, form, form_pos = tokens[i + 2]
+        if kind != "NAME" or form not in _FORM_LABELS:
+            raise ParseError(f"expected a form label for {letter}{rank}", form_pos)
+        self.index = i + 3
+        self.expect_sym(")", f"')' closing the form of {letter}{rank}")
+        if form == "c":
+            self.factors.append(RealFormSpec(f"complex_{letter.upper()}", (rank,)))
+        elif (family := _EXCEPTIONAL_FAMILY.get(f"{letter}{rank}_{form}")) is not None:
+            self.factors.append(RealFormSpec(family))
+        else:
+            raise ParseError(f"unknown form {form!r} for {letter}{rank}", pos)
 
-    def _s_construction(self) -> None:
+    def _s_construction(self, name: str, pos: int) -> None:
         """S(U(...) x U(...) x ...): unitary factors with one overall trace
         condition, so k factors contribute their su parts plus T^(k-1)."""
         self.expect_sym("(", "'(' after S")
+        tokens = self.tokens
         count = 0
         while True:
             self._skip_structural()
-            kind, text, pos = self.peek()
+            kind, text, pos = tokens[self.index]
             if kind != "NAME" or text != "u":
                 raise ParseError("S(...) expects U(...) factors", pos)
-            self.advance()
-            p, q, _ = self._args("u")
-            self._contrib_su(p, q)
+            self.index += 1
+            self._contrib_su(*self._args("u", _NO_FIELDS), pos)
             count += 1
             self._skip_structural()
-            if self._at_separator():
-                self._consume_separator()
-                continue
-            break
+            if not self._at_separator():
+                break
         self.expect_sym(")", "')' closing S(...)")
         self.compact_center += count - 1
 
     # -- top level -----------------------------------------------------------
 
     def parse(self) -> ReductiveAlgebra:
+        tokens = self.tokens
         self._atom()
         while True:
-            self._skip_structural()
-            if self._at_separator():
-                self._consume_separator()
-                self._atom()
-                continue
-            kind, _, pos = self.peek()
+            kind, text, pos = tokens[self.index]
+            if kind == "SYM" and text in "{}[]/":
+                self._skip_structural()
+                kind, text, pos = tokens[self.index]
             if kind == "END":
                 break
-            raise ParseError("expected 'x' between factors or end of expression", pos)
+            if not self._at_separator():
+                raise ParseError("expected 'x' between factors or end of expression", pos)
+            self._atom()
         if not self.factors and not self.compact_center and not self.split_center:
             raise ParseError("expression denotes the zero algebra", 0)
-        return ReductiveAlgebra(
-            tuple(self.factors), self.compact_center, self.split_center
-        )
+        return ReductiveAlgebra(tuple(self.factors), self.compact_center, self.split_center)
+
+
+_NO_FIELDS: frozenset[str] = frozenset()
+#: Each atom name with the field names its second argument may take and
+#: the method that adds its contribution from the parsed arguments; an atom
+#: with ``None`` for fields has no argument list, and its method reads the
+#: tokens after the name itself.
+_ATOMS = {
+    "sl": (frozenset("rch"), _Parser._contrib_sl),
+    "su": (_NO_FIELDS, _Parser._contrib_su),
+    "su*": (_NO_FIELDS, _Parser._contrib_su_star),
+    "so": (frozenset("c"), _Parser._contrib_so),
+    "spin": (frozenset("c"), _Parser._contrib_spin),
+    "so*": (_NO_FIELDS, _Parser._contrib_so_star),
+    "sp": (frozenset("rc"), _Parser._contrib_sp),
+    "u": (_NO_FIELDS, _Parser._contrib_u),
+    "s": (None, _Parser._s_construction),
+    "t": (None, _Parser._center),
+    "r": (None, _Parser._center),
+    "e": (None, _Parser._exceptional_atom),
+    "f": (None, _Parser._exceptional_atom),
+    "g": (None, _Parser._exceptional_atom),
+}
 
 
 def parse_expression(text: str, params: dict[str, int] | None = None) -> AlgebraExpression:

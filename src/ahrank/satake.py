@@ -55,6 +55,9 @@ class RealFormSpec(Record):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
 
+    def __hash__(self) -> int:
+        return hash((self.family, self.params))
+
     def __str__(self) -> str:
         if not self.params:
             return self.family

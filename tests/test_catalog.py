@@ -12,6 +12,7 @@ from conftest import (
     row_verdict,
 )
 
+from ahrank import catalog, cones
 from ahrank.catalog import (
     DISPUTED_ENTRIES,
     OPEN_CASE,
@@ -70,6 +71,28 @@ def test_verify_table2_report_pinned(bound, instances):
     report = verify_table2(bound)
     assert (report.rows_checked, report.instances_checked) == (74, instances)
     assert (report.failures, report.skips) == ((), (skip,))
+
+
+def test_verify_table2_profiles_each_form_once(monkeypatch):
+    # every profile comes through the memo: G's profile serves both the
+    # skip test and the verdict, so no form is profiled outside it
+    calls = []
+    factor_profile = cones.factor_profile
+
+    def counted(spec):
+        calls.append(spec)
+        return factor_profile(spec)
+
+    monkeypatch.setattr(cones, "factor_profile", counted)
+    monkeypatch.setattr(catalog, "factor_profile", counted)
+    cones._memo_profile.cache_clear()
+    try:
+        verify_table2(4)
+        info = cones._memo_profile.cache_info()
+    finally:
+        cones._memo_profile.cache_clear()
+    assert info.misses > 0
+    assert len(calls) == info.misses
 
 
 def test_open_case_undetermined():

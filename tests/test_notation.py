@@ -239,6 +239,15 @@ def test_parse_render_round_trip(text):
         ("sl(2,R)/Z_{}", "empty quotient group", 10),
         ("sl(2,R)/{}", "empty quotient group", 8),
         ("sl(3,R)\u200b", "unexpected character '\\u200b'", 7),
+        ("su(2) x", "expected an algebra name", 7),
+        ("T(3)", "expected '^' after T", 1),
+        ("S(su(2))", "S(...) expects U(...) factors", 2),
+        ("e(I)", "unknown atom 'e'", 0),
+        ("x su(2)", "unknown atom 'x'", 0),
+        ("so(3,C", "expected ')' closing the arguments of so", 6),
+        ("sl 3,R)", "expected '(' after sl", 3),
+        ("g2(I", "expected ')' closing the form of g2", 4),
+        ("S(U(2)", "expected ')' closing S(...)", 6),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):

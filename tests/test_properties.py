@@ -1,6 +1,7 @@
 """Property tests: printing round-trips, parsing is invariant under the
-presentations of an isomorphism class, and the lexer agrees with the
-character-by-character reference lexer."""
+presentations of an isomorphism class, the lexer agrees with the
+character-by-character reference lexer, and any string of grammar tokens
+parses or raises ``ParseError`` inside the text."""
 
 from __future__ import annotations
 
@@ -89,3 +90,26 @@ def test_tokenize_matches_reference_lexer(text):
         assert (got.value.reason, got.value.position) == (err.reason, err.position)
     else:
         assert _tokenize(text) == expected
+
+
+#: Pieces of the expression grammar: atom names in both cases, separators,
+#: quotient suffixes, brackets, signs, a parameter, field letters, form
+#: labels, integers, the Unicode letters and signs, and spaces.
+_GRAMMAR_TOKENS = [
+    "sl", "SL", "su", "SU", "su*", "so", "SO", "so*", "sp", "Sp", "u", "U", "S", "Spin",
+    "T", "R", "e", "f", "g", "e6", "e7", "e8", "f4", "g2",
+    "x", " x ", "*", "×", "xsu", "/Z_", "/Z_2", "/Z3", "/", "_", "{", "}", "[", "]",
+    "(", ")", ",", "^", "+", "-", "−", "k", "2k", "C", "H", "I", "IV", "IX", "split",
+    "0", "1", "2", "7", "٣", "ℝ", "ℂ", "ℍ", "ℤ", " ", "\t",
+]
+
+grammar_strings = st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=14).map("".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(grammar_strings, st.sampled_from([None, {"k": 2}, {"k": -1}]))
+def test_parse_returns_or_raises_parse_error(text, params):
+    try:
+        parse(text, params)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
