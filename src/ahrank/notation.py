@@ -39,7 +39,6 @@ by ``satake.canonical`` when the algebra is built.
 from __future__ import annotations
 
 import re
-import string
 
 from .cones import ReductiveAlgebra
 from .rootsys import Record
@@ -53,7 +52,7 @@ _DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
 #: backtracks.  ``\d`` and ``\s`` accept exactly what ``str.isdecimal`` and
 #: ``str.isspace`` accept.
 _PIECES = re.compile(r"\s+|[A-Za-zℝℂℍℤ]+\*?|\d+|.", re.S).findall
-_LETTERS = string.ascii_letters + "ℝℂℍℤ"
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyzℝℂℍℤ"
 _SYMBOLS = "(),^/{}[]+-*_"
 #: Lookups derived from ``satake.EXCEPTIONAL``: the exceptional types as
 #: (lower-case letter, rank), every form label ("c" for a complex algebra
