@@ -33,7 +33,7 @@ from typing import Callable, Iterator
 from .cones import RankProfile, ReductiveAlgebra, factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
-from .rootsys import Record, canonical_types
+from .rootsys import Record, canonical_types, iota_run
 from .satake import RealFormSpec, real_forms, satake_of
 
 
@@ -143,11 +143,14 @@ def anomaly_scan(rank_bound: int) -> tuple[RealFormSpec, ...]:
     """Every real form of every simple type up to the rank bound whose
     a-hyperbolic rank differs from its real rank.  Types come from
     ``canonical_types``, so isomorphic low-rank duplicates are not double
-    counted."""
+    counted.  Only the types where -w0 moves nodes are walked (A_n with
+    n >= 2, odd D_n and E6, those with a nonempty ``iota_run``): on every
+    other type -w0 is the identity, so the antipodal classes are the
+    matching classes and both ranks are equal on each of its forms."""
     if rank_bound < 2:
         raise ValueError("rank_bound must be >= 2")
     found = []
-    for t in canonical_types(rank_bound):
+    for t in filter(iota_run, canonical_types(rank_bound)):
         for spec in real_forms(t):
             profile = factor_profile(spec)
             if profile.a_hyperbolic_rank != profile.real_rank:

@@ -16,7 +16,9 @@ Otherwise, on a Satake diagram, it maps the black nodes onto themselves and
 every arrow onto an arrow, so it permutes the real-rank many white arrow
 classes, and by Burnside's lemma its orbits number (real rank + F) / 2,
 where F counts the classes it fixes.  A diagram built by hand that breaks
-either condition is counted by the walk that lists the classes.
+either condition is counted by the walk that lists the classes.  The count
+takes the real rank as its ``real`` argument, so ``factor_profile`` counts
+it once for both ranks.
 
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
@@ -28,7 +30,7 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from operator import eq
 
-from .rootsys import Record, iota, iota_run
+from .rootsys import Record, iota_run
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
@@ -84,20 +86,21 @@ def matching_classes(d: SatakeDiagram) -> NodePartition:
     return _partition(d, range(d.node_count + 1))
 
 
-def _iota_image(d: SatakeDiagram) -> list[int]:
+def _iota_image(d: SatakeDiagram, run: range) -> list[int]:
     """1-based image array of the longest-element involution on the whole
-    diagram, applied per component on doubled diagrams (index 0 unused)."""
-    images = iota(d.lie_type)
-    if d.components == 1:
-        return [0, *images]
+    diagram, which reverses ``run`` (``iota_run(d.lie_type)``) in place,
+    applied per component on doubled diagrams (index 0 unused)."""
     n = d.lie_type.rank
-    return [0] + [offset + j for offset in range(0, d.node_count, n) for j in images]
+    image = [*range(run.start), *reversed(run), *range(run.stop, n + 1)]
+    if d.components == 1:
+        return image
+    return image + [n + j for j in image[1:]]
 
 
 def antipodal_classes(d: SatakeDiagram) -> NodePartition:
     """Classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _partition(d, _iota_image(d))
+    return _partition(d, _iota_image(d, iota_run(d.lie_type)))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
@@ -110,25 +113,28 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  Like
     ``real_rank``, this takes arrows to join white nodes.  Any other
     diagram is counted by walking its classes."""
+    return _a_hyperbolic_count(d, real_rank(d))
+
+
+def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
+    """``a_hyperbolic_rank(d)``, given ``real``, the real rank of ``d``."""
     run = iota_run(d.lie_type)
     if not run:
-        return real_rank(d)
-    image = _iota_image(d)
+        return real
+    image = _iota_image(d, run)
     black, arrows = d.black, d.arrows
     lefts, rights = zip(*arrows) if arrows else ((), ())
     left_images = list(map(image.__getitem__, lefts))
     arrow_images = zip(left_images, map(image.__getitem__, rights))
-    if not (
-        black.issuperset(map(image.__getitem__, black))
-        and arrows.union(zip(rights, lefts)).issuperset(arrow_images)
-    ):
+    black_images = list(map(image.__getitem__, black))
+    if not (black.issuperset(black_images) and arrows.union(zip(rights, lefts)).issuperset(arrow_images)):
         return sum(map(black.isdisjoint, _orbits(d, image)))
     # the fixed white nodes, less one per arrow fixed pointwise (one fixed
     # class for its two fixed nodes), plus one per arrow reversed
     fixed = d.components * (d.lie_type.rank - len(run) + len(run) % 2)
-    fixed -= sum(map(eq, map(image.__getitem__, black), black))
+    fixed -= sum(map(eq, black_images, black))
     fixed += sum(map(eq, left_images, rights)) - sum(map(eq, left_images, lefts))
-    return (real_rank(d) + fixed) // 2
+    return (real + fixed) // 2
 
 
 def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +188,8 @@ class ReductiveAlgebra(Record):
 
 def factor_profile(spec: RealFormSpec) -> RankProfile:
     d = satake_of(spec)
-    return RankProfile(real_rank(d), a_hyperbolic_rank(d))
+    real = real_rank(d)
+    return RankProfile(real, _a_hyperbolic_count(d, real))
 
 
 @lru_cache(maxsize=2048)

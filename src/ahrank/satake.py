@@ -94,10 +94,6 @@ class SatakeDiagram(Record):
         return range(1, self.node_count + 1)
 
 
-def _sorted_pairs(pairs) -> frozenset[tuple[int, int]]:
-    return frozenset((min(i, j), max(i, j)) for i, j in pairs)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidRealFormError(message)
@@ -120,7 +116,7 @@ def _su_pq(p: int, q: int) -> SatakeDiagram:
     _require(p >= 1 and q >= 1, f"su(p,q) requires p, q >= 1, got ({p},{q})")
     n = p + q
     low = min(p, q)
-    arrows = _sorted_pairs((i, n - i) for i in range(1, low + 1) if i < n - i)
+    arrows = frozenset(zip(range(1, min(low, (n - 1) // 2) + 1), range(n - 1, 0, -1)))
     black = frozenset(range(low + 1, n - low))
     return SatakeDiagram(LieType("A", n - 1), black=black, arrows=arrows)
 
@@ -137,7 +133,7 @@ def _so_pq(p: int, q: int) -> SatakeDiagram:
     if low == m:
         return SatakeDiagram(LieType("D", m))
     if low == m - 1:
-        return SatakeDiagram(LieType("D", m), arrows=_sorted_pairs([(m - 1, m)]))
+        return SatakeDiagram(LieType("D", m), arrows=frozenset([(m - 1, m)]))
     return SatakeDiagram(LieType("D", m), black=frozenset(range(low + 1, m + 1)))
 
 
@@ -162,7 +158,7 @@ def _so_star(m: int) -> SatakeDiagram:
     return SatakeDiagram(
         LieType("D", n),
         black=frozenset(range(1, n - 1, 2)),
-        arrows=_sorted_pairs([(n - 1, n)]),
+        arrows=frozenset([(n - 1, n)]),
     )
 
 
@@ -170,9 +166,9 @@ _ONE_PARAM = {"sl_R": _sl_R, "su_star": _su_star, "sp_R": _sp_R, "so_star": _so_
 _TWO_PARAM = {"su_pq": _su_pq, "so_pq": _so_pq, "sp_pq": _sp_pq}
 
 #: The exceptional real forms, in enumeration order: family label to
-#: (series letter, rank, black nodes, arrow pairs) in chain-first numbering
-#: (the E-series branch node carries the highest index).  The label after
-#: the underscore is the form's name in the input language.
+#: (series letter, rank, black nodes, ascending arrow pairs) in chain-first
+#: numbering (the E-series branch node carries the highest index).  The
+#: label after the underscore is the form's name in the input language.
 EXCEPTIONAL = {
     "e6_I": ("E", 6, (), ()),
     "e6_II": ("E", 6, (), ((1, 5), (2, 4))),
@@ -196,7 +192,7 @@ def complex_as_real(t: LieType) -> SatakeDiagram:
     n = t.rank
     return SatakeDiagram(
         t,
-        arrows=_sorted_pairs((i, n + i) for i in range(1, n + 1)),
+        arrows=frozenset(zip(range(1, n + 1), range(n + 1, 2 * n + 1))),
         components=2,
     )
 
@@ -206,14 +202,21 @@ def _compact(letter: str, rank: int) -> SatakeDiagram:
     return SatakeDiagram(t, black=frozenset(range(1, rank + 1)))
 
 
+#: The largest family parameter ``satake_of`` accepts, so that every
+#: diagram is built in bounded time and memory.
+MAX_PARAMETER = 100_000
+
+
 def satake_of(spec: RealFormSpec) -> SatakeDiagram:
     """Satake diagram of a real form, built from its family constructor."""
     family, params = spec.family, spec.params
+    if params and max(params) > MAX_PARAMETER:
+        raise InvalidRealFormError(f"real-form parameter {max(params)} is above the bound {MAX_PARAMETER}")
     if family in EXCEPTIONAL:
         _require(params == (), f"{family} takes no parameters, got {params}")
         letter, rank, black, arrows = EXCEPTIONAL[family]
         return SatakeDiagram(
-            LieType(letter, rank), black=frozenset(black), arrows=_sorted_pairs(arrows)
+            LieType(letter, rank), black=frozenset(black), arrows=frozenset(arrows)
         )
     if family in _ONE_PARAM:
         _require(len(params) == 1, f"{family} takes one parameter, got {params}")

@@ -4,10 +4,11 @@ diagram validator checking black nodes and arrows against the diagram
 automorphisms, an exact linear-algebra rank oracle with cone membership
 tests for weight tuples, a union-find node-class oracle, root enumeration
 and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
--w0, both ranks from the restricted root system, a permutation search
-deciding whether two products of Satake diagrams are isomorphic, a
-character-by-character reference lexer for algebra expressions, and the
-example families of homogeneous spaces with their recorded verdicts."""
+-w0, both ranks from the restricted root system, the anomaly scan over
+every real form of every type, a permutation search deciding whether two
+products of Satake diagrams are isomorphic, a character-by-character
+reference lexer for algebra expressions, and the example families of
+homogeneous spaces with their recorded verdicts."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 from ahrank.catalog import FamilyRow
-from ahrank.cones import NodePartition, ReductiveAlgebra, rank_profile
+from ahrank.cones import NodePartition, ReductiveAlgebra, factor_profile, rank_profile
 from ahrank.decision import Verdict, decide
 from ahrank.notation import _MAX_INT_DIGITS, ParseError, parse
 from ahrank.rootsys import LieType, Record, canonical_types, cartan_matrix, iota
@@ -70,9 +71,10 @@ def validate(d: SatakeDiagram) -> list[str]:
     """Check the diagram invariants; returns a list of violations (empty = ok).
 
     Black nodes and arrow endpoints must be nodes of the diagram, arrows
-    must join distinct white nodes in a perfect matching of their support,
-    and the arrow involution (the identity on unmatched white nodes) must
-    agree with some diagram automorphism on the white nodes."""
+    must be ascending pairs joining distinct white nodes in a perfect
+    matching of their support, and the arrow involution (the identity on
+    unmatched white nodes) must agree with some diagram automorphism on
+    the white nodes."""
     problems = []
     nodes = set(d.nodes())
     if not set(d.black) <= nodes:
@@ -84,6 +86,8 @@ def validate(d: SatakeDiagram) -> list[str]:
             problems.append("arrow endpoints invalid")
             structural_ok = False
             continue
+        if i > j:
+            problems.append("arrow not stored as an ascending pair")
         if i in endpoints or j in endpoints:
             problems.append("arrow support is not a perfect matching")
             structural_ok = False
@@ -430,6 +434,19 @@ def restricted_ranks(d: SatakeDiagram) -> tuple[int, int]:
     cartan = [[2 if i == j else -up(a, b) for j, b in enumerate(simple)] for i, a in enumerate(simple)]
     images, _ = weyl_descent(cartan)
     return len(simple), sum(image >= i for i, image in enumerate(images, start=1))
+
+
+def full_anomaly_scan(rank_bound: int) -> tuple[RealFormSpec, ...]:
+    """``catalog.anomaly_scan`` without its type-level skip: the profile of
+    every real form of every canonical type, those where -w0 is the
+    identity included."""
+    found = []
+    for t in canonical_types(rank_bound):
+        for spec in real_forms(t):
+            profile = factor_profile(spec)
+            if profile.a_hyperbolic_rank != profile.real_rank:
+                found.append(spec)
+    return tuple(sorted(found, key=lambda s: (s.family, s.params)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from conftest import (
     ADMITTING_FAMILIES,
     NO_COMPACT_FORM_FAMILIES,
     example_verdict,
+    full_anomaly_scan,
+    restricted_ranks,
     row_verdict,
 )
 
@@ -25,7 +27,8 @@ from ahrank.catalog import (
 from ahrank.cones import a_hyperbolic_rank
 from ahrank.decision import Verdict
 from ahrank.notation import parse
-from ahrank.satake import RealFormSpec, real_rank, satake_of
+from ahrank.rootsys import canonical_types, iota_run
+from ahrank.satake import RealFormSpec, real_forms, real_rank, satake_of
 
 
 def test_verify_table1_passes():
@@ -139,6 +142,38 @@ def test_anomaly_scan_families_only_a_d_e6():
     scanned = set(anomaly_scan(9))
     assert RealFormSpec("e6_II") not in scanned
     assert RealFormSpec("e6_III") not in scanned
+
+
+@pytest.mark.parametrize("bound", [2, 9, 30])
+def test_anomaly_scan_equals_the_walk_over_every_type(bound):
+    # skipping the types where -w0 is the identity drops no anomaly
+    assert anomaly_scan(bound) == full_anomaly_scan(bound)
+
+
+def test_anomaly_scan_matches_restricted_root_oracle():
+    # the forms whose ranks differ on the restricted root system, which
+    # never reads iota, over every type up to rank 8, skipped ones included
+    expected = {
+        spec
+        for t in canonical_types(8)
+        for spec in real_forms(t)
+        if len(set(restricted_ranks(satake_of(spec)))) == 2
+    }
+    assert set(anomaly_scan(8)) == expected
+
+
+def test_anomaly_scan_profiles_only_types_where_w0_moves_nodes(monkeypatch):
+    calls = []
+    factor_profile = cones.factor_profile
+
+    def counted(spec):
+        calls.append(spec)
+        return factor_profile(spec)
+
+    monkeypatch.setattr(catalog, "factor_profile", counted)
+    anomaly_scan(12)
+    assert calls == [spec for t in canonical_types(12) if iota_run(t) for spec in real_forms(t)]
+    assert {satake_of(spec).lie_type.letter for spec in calls} == {"A", "D", "E"}
 
 
 def test_no_compact_form_families():

@@ -324,3 +324,31 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "sl(100001,R)"],
+        ["rank", "su(2,100001)", "--json"],
+        ["decide", "sl(100001,R)", "sl(3,R)"],
+        ["decide", "sl(3,R)", "sl(100002,C)", "--json"],
+    ],
+)
+def test_parameter_above_the_bound_exits_1(argv):
+    # a domain error raised before any node set is built, so the run ends
+    # at once with one error line instead of growing with the rank
+    result = subprocess.run(
+        [sys.executable, "-m", "ahrank", *argv], capture_output=True, text=True, env=_engine_env()
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: real-form parameter 100001 is above the bound 100000\n"
+
+
+def test_parameter_at_the_bound_is_accepted(capsys):
+    code, payload = run_json(capsys, "rank", "sl(100000,R)")
+    assert (code, payload["real_rank"], payload["a_hyperbolic_rank"]) == (0, 99999, 50000)
+    code, out, err = run(capsys, "decide", "sl(100000,R)", "sl(3,R)")
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: AdmitsNonVirtuallyAbelian\n")

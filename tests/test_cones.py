@@ -26,6 +26,7 @@ from ahrank.cones import (
     a_hyperbolic_rank,
     antipodal_classes,
     b_plus_generators,
+    factor_profile,
     matching_classes,
     rank_profile,
 )
@@ -197,6 +198,16 @@ def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
 
     monkeypatch.setattr(cones, "_orbits", recorded)
     return calls
+
+
+def test_factor_profile_counts_both_ranks_as_the_diagram_functions():
+    # the profile counts the real rank once and hands it to the count; the
+    # public functions each count it themselves
+    specs = [spec for t in canonical_types(40) for spec in real_forms(t)]
+    specs += [RealFormSpec(f"complex_{t.letter}", (t.rank,)) for t in canonical_types(12)]
+    for spec in specs:
+        d = satake_of(spec)
+        assert factor_profile(spec) == RankProfile(real_rank(d), a_hyperbolic_rank(d)), spec
 
 
 def test_count_preconditions_hold_on_database(monkeypatch):

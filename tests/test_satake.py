@@ -13,6 +13,7 @@ from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
     _COINCIDENCES,
     EXCEPTIONAL,
+    MAX_PARAMETER,
     InvalidRealFormError,
     RealFormSpec,
     SatakeDiagram,
@@ -58,6 +59,42 @@ def test_su_pq_arrow_ladder():
     assert d.black == frozenset({3, 4})
 
 
+def test_su_pq_arrows_are_ascending_mirror_pairs():
+    # the arrows join node i to node n - i for i up to min(p, q), short of
+    # the middle node of A_(n-1), each stored as an ascending pair
+    for p, q in itertools.product(range(1, 41), repeat=2):
+        n = p + q
+        arrows = satake_of(RealFormSpec("su_pq", (p, q))).arrows
+        assert arrows == {(i, n - i) for i in range(1, min(p, q) + 1) if i < n - i}, (p, q)
+        assert all(i < j and i + j == n for i, j in arrows), (p, q)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RealFormSpec("sl_R", (MAX_PARAMETER + 1,)),
+        RealFormSpec("su_star", (MAX_PARAMETER + 2,)),
+        RealFormSpec("su_pq", (1, MAX_PARAMETER + 1)),
+        RealFormSpec("so_pq", (MAX_PARAMETER + 1, 2)),
+        RealFormSpec("sp_R", (MAX_PARAMETER + 1,)),
+        RealFormSpec("sp_pq", (MAX_PARAMETER + 1, MAX_PARAMETER + 1)),
+        RealFormSpec("so_star", (MAX_PARAMETER + 2,)),
+        RealFormSpec("compact_A", (MAX_PARAMETER + 1,)),
+        RealFormSpec("complex_D", (MAX_PARAMETER + 1,)),
+    ],
+    ids=str,
+)
+def test_parameters_above_the_bound_raise(spec):
+    with pytest.raises(InvalidRealFormError, match=f"above the bound {MAX_PARAMETER}$"):
+        satake_of(spec)
+
+
+def test_parameters_at_the_bound_build():
+    assert real_rank(satake_of(RealFormSpec("sl_R", (MAX_PARAMETER,)))) == MAX_PARAMETER - 1
+    d = satake_of(RealFormSpec("su_pq", (1, MAX_PARAMETER)))
+    assert (real_rank(d), d.arrows) == (1, {(1, MAX_PARAMETER)})
+
+
 def test_so_fork_arrow():
     # signature difference two: all white with the fork nodes arrow-joined
     d = satake_of(RealFormSpec("so_pq", (4, 6)))
@@ -73,6 +110,9 @@ def test_complex_as_real_doubled():
     assert d.arrows == frozenset({(1, 3), (2, 4)})
     assert d.black == frozenset()
     assert real_rank(d) == 2
+    for t in canonical_types(12):
+        n = t.rank
+        assert complex_as_real(t).arrows == {(i, n + i) for i in range(1, n + 1)}, t
 
 
 def test_database_validates(database):
