@@ -23,10 +23,10 @@ import json
 import os
 import sys
 
-from .cones import ReductiveAlgebra, b_plus_generators, factor_profile, rank_profile
-from .decision import NotASubgroupPairError, decide, embed_obstruction
+from .cones import b_plus_generators, factor_profile, rank_profile
+from .decision import decide, embed_obstruction
 from .notation import ParseError, parse_expression, render
-from .satake import InvalidRealFormError, RealFormSpec, ascii_diagram, export, satake_of
+from .satake import InvalidRealFormError, ascii_diagram, export, satake_of
 
 
 def _params_arg(text: str) -> dict[str, int]:
@@ -47,8 +47,7 @@ def _params_arg(text: str) -> dict[str, int]:
     return env
 
 
-def _rank_payload(expression: str, record) -> dict:
-    profile = rank_profile(record.algebra)
+def _rank_payload(expression: str, record, profile) -> dict:
     return {
         "expression": expression,
         "canonical": render(record.algebra),
@@ -65,22 +64,33 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text, flush=True)
 
 
-def _warn_discarded(record) -> str:
-    if not record.discarded:
-        return ""
-    return f"  [stripped: {', '.join(record.discarded)}]"
+def _warn_discarded(discarded: list[str]) -> str:
+    return f"  [stripped: {', '.join(discarded)}]" if discarded else ""
 
 
 def _cmd_rank(args) -> int:
     record = parse_expression(args.expr, args.params)
-    payload = _rank_payload(args.expr, record)
+    payload = _rank_payload(args.expr, record, rank_profile(record.algebra))
     text = (
-        f"algebra:           {payload['canonical']}{_warn_discarded(record)}\n"
+        f"algebra:           {payload['canonical']}{_warn_discarded(payload['discarded'])}\n"
         f"real rank:         {payload['real_rank']}\n"
         f"a-hyperbolic rank: {payload['a_hyperbolic_rank']}"
     )
     _emit(args, payload, text)
     return 0
+
+
+def _profile_pair(args) -> tuple:
+    """Parse G and H, then profile both, so that a parse error in H comes
+    before a domain error in G; returns the two rank profiles and the
+    ``g``/``h`` payload."""
+    records = parse_expression(args.g, args.params), parse_expression(args.h, args.params)
+    profiles = [rank_profile(record.algebra) for record in records]
+    payload = {
+        key: _rank_payload(text, record, profile)
+        for key, text, record, profile in zip("gh", (args.g, args.h), records, profiles)
+    }
+    return *profiles, payload
 
 
 _CONDITION_TEXT = {
@@ -91,21 +101,13 @@ _CONDITION_TEXT = {
 
 
 def _cmd_decide(args) -> int:
-    g_record = parse_expression(args.g, args.params)
-    h_record = parse_expression(args.h, args.params)
-    g_profile = rank_profile(g_record.algebra)
-    h_profile = rank_profile(h_record.algebra)
+    g_profile, h_profile, payload = _profile_pair(args)
     decision = decide(g_profile, h_profile)
-    payload = {
-        "g": _rank_payload(args.g, g_record),
-        "h": _rank_payload(args.h, h_record),
-        **decision.to_dict(),
-    }
+    payload.update(decision.to_dict())
     lines = [
-        f"G = {render(g_record.algebra)}: real rank {g_profile.real_rank}, "
-        f"a-hyperbolic rank {g_profile.a_hyperbolic_rank}{_warn_discarded(g_record)}",
-        f"H = {render(h_record.algebra)}: real rank {h_profile.real_rank}, "
-        f"a-hyperbolic rank {h_profile.a_hyperbolic_rank}{_warn_discarded(h_record)}",
+        f"{name} = {factor['canonical']}: real rank {factor['real_rank']}, "
+        f"a-hyperbolic rank {factor['a_hyperbolic_rank']}{_warn_discarded(factor['discarded'])}"
+        for name, factor in (("G", payload["g"]), ("H", payload["h"]))
     ]
     for step in decision.trace:
         outcome = "yes" if step.holds else "no"
@@ -118,16 +120,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    g_record = parse_expression(args.g, args.params)
-    h_record = parse_expression(args.h, args.params)
-    obstruction = embed_obstruction(
-        rank_profile(g_record.algebra), rank_profile(h_record.algebra)
-    )
-    payload = {
-        "g": _rank_payload(args.g, g_record),
-        "h": _rank_payload(args.h, h_record),
-        **obstruction.to_dict(),
-    }
+    g_profile, h_profile, payload = _profile_pair(args)
+    obstruction = embed_obstruction(g_profile, h_profile)
+    payload.update(obstruction.to_dict())
     if obstruction.obstructed:
         text = "obstructed: H cannot be a closed reductive subgroup of G\n" + "\n".join(
             f"  failing inequality: {w}(H) <= {w}(G)" for w in obstruction.witnesses
@@ -138,82 +133,62 @@ def _cmd_embed_check(args) -> int:
     return 0
 
 
-def _single_factor(record) -> RealFormSpec:
-    alg: ReductiveAlgebra = record.algebra
+def _single_factor(args) -> tuple:
+    """Parse FORM; returns its rendered name and its one simple factor."""
+    alg = parse_expression(args.form, args.params).algebra
+    form = render(alg)
     if len(alg.simple_factors) != 1 or alg.compact_center_dim or alg.split_center_dim:
-        raise InvalidRealFormError(
-            f"expected a single simple factor, got {render(alg)!r}"
-        )
-    return alg.simple_factors[0]
+        raise InvalidRealFormError(f"expected a single simple factor, got {form!r}")
+    return form, alg.simple_factors[0]
 
 
 def _cmd_satake_show(args) -> int:
-    record = parse_expression(args.form, args.params)
-    spec = _single_factor(record)
+    form, spec = _single_factor(args)
     diagram = satake_of(spec)
     profile = factor_profile(spec)
     payload = export(diagram)
-    payload["form"] = render(record.algebra)
-    payload["real_rank"] = profile.real_rank
-    payload["a_hyperbolic_rank"] = profile.a_hyperbolic_rank
-    text = f"{render(record.algebra)}\n{ascii_diagram(diagram)}"
-    _emit(args, payload, text)
+    payload.update(form=form, real_rank=profile.real_rank, a_hyperbolic_rank=profile.a_hyperbolic_rank)
+    _emit(args, payload, f"{form}\n{ascii_diagram(diagram)}")
     return 0
 
 
 def _cmd_orbits(args) -> int:
-    record = parse_expression(args.form, args.params)
-    generators = b_plus_generators(satake_of(_single_factor(record)))
-    payload = {
-        "form": render(record.algebra),
-        "generators": [list(g) for g in generators],
-    }
-    if generators:
-        text = "\n".join("(" + ",".join(map(str, g)) + ")" for g in generators)
-    else:
-        text = "(none)"
-    _emit(args, payload, text)
+    form, spec = _single_factor(args)
+    generators = b_plus_generators(satake_of(spec))
+    payload = {"form": form, "generators": [list(g) for g in generators]}
+    text = "\n".join("(" + ",".join(map(str, g)) + ")" for g in generators)
+    _emit(args, payload, text or "(none)")
     return 0
 
 
-def _report_exit(args, payload: dict, lines: list[str], passed: bool) -> int:
-    _emit(args, payload, "\n".join(lines))
-    return 0 if passed else 1
+def _verification(args, report, table: str, limit: str) -> int:
+    lines = [f"{table}: {report.instances_checked} instances over {report.rows_checked} rows, {limit}"]
+    lines.extend(f"skip {s}" for s in report.skips)
+    lines.extend(f"FAIL {f}" for f in report.failures)
+    lines.append("PASS" if report.passed else "FAIL")
+    _emit(args, report.to_dict(), "\n".join(lines))
+    return 0 if report.passed else 1
 
 
 def _cmd_table1(args) -> int:
     from .catalog import verify_table1
 
-    report = verify_table1(args.kmax)
-    lines = [
-        f"rank table: {report.instances_checked} instances over "
-        f"{report.rows_checked} rows, k <= {args.kmax}"
-    ]
-    lines.extend(f"FAIL {f}" for f in report.failures)
-    lines.append("PASS" if report.passed else "FAIL")
-    return _report_exit(args, report.to_dict(), lines, report.passed)
+    return _verification(args, verify_table1(args.kmax), "rank table", f"k <= {args.kmax}")
 
 
 def _cmd_table2(args) -> int:
     from .catalog import verify_table2
 
-    report = verify_table2(args.bound)
-    lines = [
-        f"3-symmetric table: {report.instances_checked} instances over "
-        f"{report.rows_checked} rows, parameters <= {args.bound}"
-    ]
-    lines.extend(f"skip {s}" for s in report.skips)
-    lines.extend(f"FAIL {f}" for f in report.failures)
-    lines.append("PASS" if report.passed else "FAIL")
-    return _report_exit(args, report.to_dict(), lines, report.passed)
+    return _verification(
+        args, verify_table2(args.bound), "3-symmetric table", f"parameters <= {args.bound}"
+    )
 
 
 def _cmd_anomaly_scan(args) -> int:
     from .catalog import anomaly_scan, table1_predicted_anomalies
 
     found = anomaly_scan(args.rank)
-    predicted = table1_predicted_anomalies(args.rank)
-    passed = set(found) == set(predicted)
+    passed = set(found) == set(table1_predicted_anomalies(args.rank))
     payload = {
         "rank_bound": args.rank,
         "anomalies": [str(spec) for spec in found],
@@ -224,7 +199,23 @@ def _cmd_anomaly_scan(args) -> int:
     lines.append(
         "matches the rank table exactly" if passed else "MISMATCH with the rank table"
     )
-    return _report_exit(args, payload, lines, passed)
+    _emit(args, payload, "\n".join(lines))
+    return 0 if passed else 1
+
+
+#: Subcommands as (name, handler, help, arguments).  The arguments are the
+#: positional names, which take ``--params``, or one integer option and its
+#: default.
+_COMMANDS = (
+    ("rank", _cmd_rank, "rank profile of a reductive algebra", ("expr",)),
+    ("decide", _cmd_decide, "existence of non-virtually-abelian discontinuous actions on G/H", ("g", "h")),
+    ("embed-check", _cmd_embed_check, "rank obstruction to H < G", ("g", "h")),
+    ("satake-show", _cmd_satake_show, "ASCII Satake diagram of a real form", ("form",)),
+    ("orbits", _cmd_orbits, "antipodal-cone generators of a real form", ("form",)),
+    ("table1", _cmd_table1, "verify the rank table", ("--kmax", 6)),
+    ("table2", _cmd_table2, "verify the 3-symmetric table", ("--bound", 4)),
+    ("anomaly-scan", _cmd_anomaly_scan, "scan all real forms for rank anomalies", ("--rank", 9)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,44 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str):
+    for name, handler, help_text, arguments in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--json", action="store_true", help="emit JSON")
-        return cmd
-
-    cmd = add("rank", _cmd_rank, "rank profile of a reductive algebra")
-    cmd.add_argument("expr")
-    cmd.add_argument("--params", type=_params_arg, default=None, help="k=2,l=1 substitutions")
-
-    cmd = add("decide", _cmd_decide, "existence of non-virtually-abelian discontinuous actions on G/H")
-    cmd.add_argument("g")
-    cmd.add_argument("h")
-    cmd.add_argument("--params", type=_params_arg, default=None)
-
-    cmd = add("embed-check", _cmd_embed_check, "rank obstruction to H < G")
-    cmd.add_argument("g")
-    cmd.add_argument("h")
-    cmd.add_argument("--params", type=_params_arg, default=None)
-
-    cmd = add("satake-show", _cmd_satake_show, "ASCII Satake diagram of a real form")
-    cmd.add_argument("form")
-    cmd.add_argument("--params", type=_params_arg, default=None)
-
-    cmd = add("orbits", _cmd_orbits, "antipodal-cone generators of a real form")
-    cmd.add_argument("form")
-    cmd.add_argument("--params", type=_params_arg, default=None)
-
-    cmd = add("table1", _cmd_table1, "verify the rank table")
-    cmd.add_argument("--kmax", type=int, default=6)
-
-    cmd = add("table2", _cmd_table2, "verify the 3-symmetric table")
-    cmd.add_argument("--bound", type=int, default=4)
-
-    cmd = add("anomaly-scan", _cmd_anomaly_scan, "scan all real forms for rank anomalies")
-    cmd.add_argument("--rank", type=int, default=9)
-
+        if arguments[0].startswith("--"):
+            option, default = arguments
+            cmd.add_argument(option, type=int, default=default)
+            continue
+        for positional in arguments:
+            cmd.add_argument(positional)
+        # only rank's --help spells out the substitution format
+        params_help = "k=2,l=1 substitutions" if name == "rank" else None
+        cmd.add_argument("--params", type=_params_arg, default=None, help=params_help)
     return parser
 
 
@@ -291,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidRealFormError, NotASubgroupPairError, ValueError) as exc:
+    except ValueError as exc:  # also InvalidRealFormError and NotASubgroupPairError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # stdout closed early; the exit flush then goes to the null device

@@ -73,35 +73,30 @@ class NotASubgroupPairError(ValueError):
     subgroup of g."""
 
 
-#: The conditions in evaluation order: (condition, lhs, op, rhs, verdict),
-#: with lhs and rhs naming a rank of g and of h.
-_CONDITIONS = (
-    ("A", "real_rank", "==", "real_rank", Verdict.NO_INFINITE_DISCONTINUOUS),
-    ("B", "a_hyperbolic_rank", "==", "a_hyperbolic_rank", Verdict.NO_NON_VIRTUALLY_ABELIAN),
-    ("C", "a_hyperbolic_rank", ">", "real_rank", Verdict.ADMITS_NON_VIRTUALLY_ABELIAN),
-)
-
-#: The ranks an obstruction can name, in the order ``decide`` reports them.
-_RANK_NAMES = {"real_rank": "real rank", "a_hyperbolic_rank": "a-hyperbolic rank"}
-
-
 def decide(g: RankProfile, h: RankProfile) -> Decision:
     """Evaluate conditions (A), (B), (C) in order; the first that holds
     fixes the verdict, and every evaluated comparison is recorded.  A pair
-    that ``embed_obstruction`` rejects raises ``NotASubgroupPairError``,
-    naming the real rank before the a-hyperbolic rank."""
-    witnesses = embed_obstruction(g, h).witnesses
-    for field, rank in _RANK_NAMES.items():
-        if field in witnesses:
-            raise NotASubgroupPairError(
-                f"{rank} of h ({getattr(h, field)}) exceeds {rank} of g "
-                f"({getattr(g, field)}); closed reductive subgroups never exceed "
-                f"the ambient {rank}"
-            )
+    in which a rank of h exceeds the same rank of g raises
+    ``NotASubgroupPairError``, naming the real rank before the a-hyperbolic
+    rank."""
+    g_real, g_ahyp = g.real_rank, g.a_hyperbolic_rank
+    h_real, h_ahyp = h.real_rank, h.a_hyperbolic_rank
+    if h_real > g_real:
+        raise NotASubgroupPairError(
+            f"real rank of h ({h_real}) exceeds real rank of g ({g_real}); closed "
+            "reductive subgroups never exceed the ambient real rank"
+        )
+    if h_ahyp > g_ahyp:
+        raise NotASubgroupPairError(
+            f"a-hyperbolic rank of h ({h_ahyp}) exceeds a-hyperbolic rank of g ({g_ahyp}); "
+            "closed reductive subgroups never exceed the ambient a-hyperbolic rank"
+        )
     trace = []
-    for condition, lhs_field, op, rhs_field, verdict in _CONDITIONS:
-        lhs, rhs = getattr(g, lhs_field), getattr(h, rhs_field)
-        holds = lhs == rhs if op == "==" else lhs > rhs
+    for condition, lhs, op, rhs, holds, verdict in (
+        ("A", g_real, "==", h_real, g_real == h_real, Verdict.NO_INFINITE_DISCONTINUOUS),
+        ("B", g_ahyp, "==", h_ahyp, g_ahyp == h_ahyp, Verdict.NO_NON_VIRTUALLY_ABELIAN),
+        ("C", g_ahyp, ">", h_real, g_ahyp > h_real, Verdict.ADMITS_NON_VIRTUALLY_ABELIAN),
+    ):
         trace.append(TraceStep(condition, lhs, op, rhs, holds))
         if holds:
             return Decision(verdict, tuple(trace))

@@ -1,7 +1,8 @@
 """Simple complex Lie algebra types, in exact integer arithmetic.
 
-Cartan matrices, the list of types up to a rank bound with each isomorphism
-class once, and the one closed form of the diagram involution induced by -w0
+Diagram bonds (the nonzero off-diagonal Cartan matrix entries), the list of
+types up to a rank bound with each isomorphism class once, and the one
+closed form of the diagram involution induced by -w0
 (the negated longest Weyl element): the run of nodes it reverses in place.
 The root enumeration and Weyl group searches that check ``iota`` are test
 oracles in ``tests/conftest.py``.
@@ -31,7 +32,6 @@ Weight vectors are serialized in this node order throughout the package.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
 
 SERIES = "ABCDEFG"
@@ -129,17 +129,6 @@ def _edges(t: LieType) -> tuple[tuple[int, int, int, int], ...]:
     if t.letter == "F":
         return ((1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1))
     return ((1, 2, -1, -3),)  # G2
-
-
-@lru_cache(maxsize=None)
-def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix with a_ij = <alpha_i, alpha_j^v>, in the node order above."""
-    n = t.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, aij, aji in _edges(t):
-        a[i - 1][j - 1] = aij
-        a[j - 1][i - 1] = aji
-    return tuple(tuple(row) for row in a)
 
 
 def canonical_types(rank_bound: int) -> list[LieType]:

@@ -39,7 +39,7 @@ n+1..2n, with arrows (i, n+i).
 
 from __future__ import annotations
 
-from .rootsys import LieType, Record, cartan_matrix
+from .rootsys import LieType, Record, _edges
 
 
 class InvalidRealFormError(ValueError):
@@ -346,9 +346,7 @@ def _chain_layout(t: LieType) -> tuple[list[int], tuple[int, int] | None]:
     return list(range(1, n + 1)), None
 
 
-def _bond(cartan, i: int, j: int) -> str:
-    aij = cartan[i - 1][j - 1]
-    aji = cartan[j - 1][i - 1]
+def _bond(aij: int, aji: int) -> str:
     if aij == 0:
         return "    "
     if aij == -1 and aji == -1:
@@ -360,7 +358,7 @@ def _bond(cartan, i: int, j: int) -> str:
 
 def _component_lines(d: SatakeDiagram, offset: int) -> list[str]:
     t = d.lie_type
-    cartan = cartan_matrix(t)
+    bonds = {(i, j): (aij, aji) for i, j, aij, aji in _edges(t)}
     chain, branch = _chain_layout(t)
 
     def marker(node: int) -> str:
@@ -368,7 +366,7 @@ def _component_lines(d: SatakeDiagram, offset: int) -> list[str]:
 
     row = marker(chain[0])
     for prev, cur in zip(chain, chain[1:]):
-        row += _bond(cartan, prev, cur) + marker(cur)
+        row += _bond(*bonds.get((prev, cur), (0, 0))) + marker(cur)
     labels = ""
     for pos, node in enumerate(chain):
         column = 5 * pos

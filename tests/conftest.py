@@ -1,14 +1,15 @@
-"""Shared fixtures: the full diagram database, and independent oracles
-for the engine's combinatorics that the package itself does not need: a
-diagram validator checking black nodes and arrows against the diagram
-automorphisms, an exact linear-algebra rank oracle with cone membership
-tests for weight tuples, a union-find node-class oracle, root enumeration
-and a Weyl brute force for -w0 up to rank 5, a Weyl-descent oracle for
--w0, both ranks from the restricted root system, the anomaly scan over
-every real form of every type, a permutation search deciding whether two
-products of Satake diagrams are isomorphic, a character-by-character
-reference lexer for algebra expressions, and the example families of
-homogeneous spaces with their recorded verdicts."""
+"""Shared fixtures: the full diagram database, and independent oracles for
+the engine's combinatorics that the package itself does not need: Cartan
+matrices built from the diagram bonds, a diagram validator checking
+black nodes and arrows against the diagram automorphisms, an exact
+linear-algebra rank oracle with cone membership tests for weight tuples,
+a union-find node-class oracle, root enumeration and a Weyl brute force
+for -w0 up to rank 5, a Weyl-descent oracle for -w0, both ranks from the
+restricted root system, the anomaly scan over every real form of every
+type, a permutation search deciding whether two products of Satake
+diagrams are isomorphic, a character-by-character reference lexer for
+algebra expressions, and the example families of homogeneous spaces with
+their recorded verdicts."""
 
 from __future__ import annotations
 
@@ -23,8 +24,20 @@ from ahrank.catalog import FamilyRow
 from ahrank.cones import NodePartition, ReductiveAlgebra, factor_profile, rank_profile
 from ahrank.decision import Verdict, decide
 from ahrank.notation import _MAX_INT_DIGITS, ParseError, parse
-from ahrank.rootsys import LieType, Record, canonical_types, cartan_matrix, iota
+from ahrank.rootsys import LieType, Record, _edges, canonical_types, iota
 from ahrank.satake import RealFormSpec, SatakeDiagram, real_forms, satake_of
+
+
+@lru_cache(maxsize=None)
+def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix with a_ij = <alpha_i, alpha_j^v>, in the package's node
+    order, from the diagram bonds."""
+    n = t.rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, aij, aji in _edges(t):
+        a[i - 1][j - 1] = aij
+        a[j - 1][i - 1] = aji
+    return tuple(tuple(row) for row in a)
 
 
 def database_specs(rank_bound: int = 9, doubled_rank_bound: int = 4) -> list[RealFormSpec]:

@@ -3,6 +3,7 @@ command examples and its Library block."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
@@ -10,13 +11,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import ahrank
-from ahrank.cli import main
+from ahrank.cli import _params_arg, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -352,3 +354,85 @@ def test_parameter_at_the_bound_is_accepted(capsys):
     code, out, err = run(capsys, "decide", "sl(100000,R)", "sl(3,R)")
     assert (code, err) == (0, "")
     assert out.endswith("verdict: AdmitsNonVirtuallyAbelian\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["table1", "--kmax", "0"], "k_max must be >= 1"),
+        (["table2", "--bound", "1"], "param_bound must be >= 2"),
+        (["anomaly-scan", "--rank", "1"], "rank_bound must be >= 2"),
+    ],
+)
+def test_sweep_bound_exits_1(argv, message, json_flag):
+    # the sweeps' own bounds raise a plain ValueError, which main reports
+    # as a domain error like any other, in text and JSON alike
+    result = subprocess.run(
+        [sys.executable, "-m", "ahrank", *argv, *json_flag], capture_output=True, text=True, env=_engine_env()
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, "show this help message and exit", None)
+JSON = (("--json",), "json", False, "emit JSON", None)
+PARAMS = (("--params",), "params", None, None, _params_arg)
+
+#: Every parser's actions as (option strings, dest, default, help, type).
+PARSER_ACTIONS = {
+    "ahrank": [HELP],
+    "ahrank rank": [HELP, JSON, ((), "expr", None, None, None), (("--params",), "params", None, "k=2,l=1 substitutions", _params_arg)],
+    "ahrank decide": [HELP, JSON, ((), "g", None, None, None), ((), "h", None, None, None), PARAMS],
+    "ahrank embed-check": [HELP, JSON, ((), "g", None, None, None), ((), "h", None, None, None), PARAMS],
+    "ahrank satake-show": [HELP, JSON, ((), "form", None, None, None), PARAMS],
+    "ahrank orbits": [HELP, JSON, ((), "form", None, None, None), PARAMS],
+    "ahrank table1": [HELP, JSON, (("--kmax",), "kmax", 6, None, int)],
+    "ahrank table2": [HELP, JSON, (("--bound",), "bound", 4, None, int)],
+    "ahrank anomaly-scan": [HELP, JSON, (("--rank",), "rank", 9, None, int)],
+}
+
+SUBCOMMAND_HELP = [
+    ("rank", "rank profile of a reductive algebra"),
+    ("decide", "existence of non-virtually-abelian discontinuous actions on G/H"),
+    ("embed-check", "rank obstruction to H < G"),
+    ("satake-show", "ASCII Satake diagram of a real form"),
+    ("orbits", "antipodal-cone generators of a real form"),
+    ("table1", "verify the rank table"),
+    ("table2", "verify the 3-symmetric table"),
+    ("anomaly-scan", "scan all real forms for rank anomalies"),
+]
+
+
+def test_parser_actions_pinned():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (subparsers.dest, subparsers.required) == ("command", True)
+    assert [(a.dest, a.help) for a in subparsers._choices_actions] == SUBCOMMAND_HELP
+    parsers = [parser, *subparsers.choices.values()]
+    actions = {
+        p.prog: [
+            (tuple(a.option_strings), a.dest, a.default, a.help, a.type)
+            for a in p._actions
+            if a is not subparsers
+        ]
+        for p in parsers
+    }
+    assert actions == PARSER_ACTIONS
+    handlers = {name: p.get_default("handler").__name__ for name, p in subparsers.choices.items()}
+    assert handlers == {name: "_cmd_" + name.replace("-", "_") for name, _ in SUBCOMMAND_HELP}
+
+
+def test_satake_show_memory_stays_linear_in_the_rank(capsys):
+    # the bonds are read from the edge list: an n x n Cartan matrix at
+    # rank 1999 would alone hold tens of MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "satake-show", "sl(2000,R)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.count("o----") == 1998
+    assert peak < 4 * 2**20

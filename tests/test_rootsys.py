@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     ROOT_ENUMERATION_BOUND,
     NodePermutation,
+    cartan_matrix,
     compose,
     descent_negation,
     is_cartan_automorphism,
@@ -16,7 +17,7 @@ from conftest import (
     weyl_order,
 )
 
-from ahrank.rootsys import LieType, canonical_types, cartan_matrix, iota, iota_run
+from ahrank.rootsys import LieType, canonical_types, iota, iota_run
 
 ALL_SMALL_TYPES = (
     [LieType("A", r) for r in range(1, 9)]

@@ -7,7 +7,7 @@ import json
 import time
 
 import pytest
-from conftest import _automorphisms, is_cartan_automorphism, isomorphic_diagrams, validate
+from conftest import _automorphisms, cartan_matrix, is_cartan_automorphism, isomorphic_diagrams, validate
 
 from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
@@ -293,8 +293,6 @@ def test_exceptional_real_ranks():
 def _black_component_shapes(d):
     """Connected components of the black subdiagram, each reduced to
     (size, sorted degree sequence, has a multiple bond)."""
-    from ahrank.rootsys import cartan_matrix
-
     cartan = cartan_matrix(d.lie_type)
     black = sorted(d.black)
     seen: set[int] = set()
@@ -370,6 +368,66 @@ def test_ascii_diagram_smoke():
     assert "-2->" in art
     art = ascii_diagram(complex_as_real(LieType("A", 2)))
     assert "component 2:" in art and "1<->3" in art
+
+
+def reference_ascii_diagram(d: SatakeDiagram) -> str:
+    """The picture ``ascii_diagram`` draws, with every bond read off the full
+    Cartan matrix.  Per component: the chain of nodes with a bond label
+    between neighbours (blank, '----', or '-m->' from the long root to the
+    short one, m the bond's multiplicity), the node numbers under it in
+    five-column steps, and the last node hung below its one neighbour when
+    it is not bonded to the node before it.  Then the arrows and the black
+    nodes."""
+    t, n = d.lie_type, d.lie_type.rank
+    a = cartan_matrix(t)
+    chain, attach = list(range(1, n + 1)), None
+    if n >= 3 and a[n - 1][n - 2] == 0:
+        chain.pop()
+        (attach,) = [j for j in chain if a[n - 1][j - 1]]
+
+    def bond(i: int, j: int) -> str:
+        multiplicity = a[i - 1][j - 1] * a[j - 1][i - 1]
+        if multiplicity < 2:
+            return "-" * 4 if multiplicity else " " * 4
+        return f"-{multiplicity}->" if a[i - 1][j - 1] < -1 else f"<-{multiplicity}-"
+
+    lines = []
+    for component in range(d.components):
+        offset = component * n
+
+        def marker(node: int) -> str:
+            return "*" if offset + node in d.black else "o"
+
+        if d.components > 1:
+            lines.append(f"component {component + 1}:")
+        lines.append(marker(chain[0]) + "".join(bond(i, j) + marker(j) for i, j in zip(chain, chain[1:])))
+        lines.append("".join(str(offset + node).ljust(5) for node in chain).rstrip())
+        if attach is not None:
+            indent = " " * 5 * chain.index(attach)
+            lines += [indent + "|", f"{indent}{marker(n)} {offset + n}"]
+    arrows = ", ".join(f"{i}<->{j}" for i, j in sorted(d.arrows))
+    lines.append("arrows: " + (arrows or "none"))
+    lines.append("black:  " + (" ".join(map(str, sorted(d.black))) or "none"))
+    return "\n".join(lines)
+
+
+def _rendered_diagrams():
+    for t in canonical_types(12):
+        for spec in real_forms(t):
+            yield str(spec), satake_of(spec)
+        yield f"complex_{t}", complex_as_real(t)
+    for t in (LieType("D", 2), LieType("D", 3)):
+        yield f"{t} white", SatakeDiagram(t)
+        yield f"{t} black 1", SatakeDiagram(t, black=frozenset({1}))
+        yield f"{t} arrows", SatakeDiagram(t, arrows=frozenset({(t.rank - 1, t.rank)}))
+        yield f"complex_{t}", complex_as_real(t)
+
+
+def test_ascii_diagram_matches_cartan_reference():
+    # the renderer reads bonds from the edge list; the reference reads the
+    # whole matrix, so a bond dropped, misplaced or reversed shows here
+    for name, d in _rendered_diagrams():
+        assert ascii_diagram(d) == reference_ascii_diagram(d), name
 
 
 def _diagram(spec):
