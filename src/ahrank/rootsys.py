@@ -2,8 +2,8 @@
 
 Diagram bonds (the nonzero off-diagonal Cartan matrix entries), the list of
 types up to a rank bound with each isomorphism class once, and the one
-closed form of the diagram involution induced by -w0
-(the negated longest Weyl element): the run of nodes it reverses in place.
+closed form of the diagram involution induced by -w0 (the negated longest
+Weyl element): the run of nodes it reverses in place.
 The root enumeration and Weyl group searches that check ``iota`` are test
 oracles in ``tests/conftest.py``.
 ``Record``, the base of the package's value records, lives here, at the
