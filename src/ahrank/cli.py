@@ -23,10 +23,10 @@ import json
 import os
 import sys
 
-from .cones import b_plus_generators, factor_profile, rank_profile
+from .cones import RankProfile, a_hyperbolic_rank, b_plus_generators, rank_profile
 from .decision import decide, embed_obstruction
 from .notation import ParseError, parse_expression, render
-from .satake import InvalidRealFormError, ascii_diagram, export, satake_of
+from .satake import InvalidRealFormError, ascii_diagram, export, real_rank, satake_of
 
 
 def _params_arg(text: str) -> dict[str, int]:
@@ -145,7 +145,7 @@ def _single_factor(args) -> tuple:
 def _cmd_satake_show(args) -> int:
     form, spec = _single_factor(args)
     diagram = satake_of(spec)
-    profile = factor_profile(spec)
+    profile = RankProfile(real_rank(diagram), a_hyperbolic_rank(diagram))
     payload = export(diagram)
     payload.update(form=form, real_rank=profile.real_rank, a_hyperbolic_rank=profile.a_hyperbolic_rank)
     _emit(args, payload, f"{form}\n{ascii_diagram(diagram)}")

@@ -15,10 +15,13 @@ is empty it is the identity and the a-hyperbolic rank is the real rank.
 Otherwise, on a Satake diagram, it maps the black nodes onto themselves and
 every arrow onto an arrow, so it permutes the real-rank many white arrow
 classes, and by Burnside's lemma its orbits number (real rank + F) / 2,
-where F counts the classes it fixes.  A diagram built by hand that breaks
-either condition is counted by the walk that lists the classes.  The count
-takes the real rank as its ``real`` argument, so ``factor_profile`` counts
-it once for both ranks.
+where F counts the classes it fixes.  With no black node and no arrow, F is
+the number of nodes it fixes, and no image of the nodes is built.  An arrow
+it reverses in place maps onto itself, so when it reverses every arrow the
+arrow set is not searched.  A diagram built by hand that breaks either
+condition is counted by the walk that lists the classes.  The count takes
+the real rank as its ``real`` argument, so ``factor_profile`` counts it
+once for both ranks.
 
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
@@ -110,9 +113,10 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     Otherwise, when the involution maps ``d.black`` onto itself and every
     arrow onto an arrow, it permutes the white arrow classes, and the count
     is (real rank + F) / 2 with F the classes it fixes: the unpaired white
-    nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  Like
-    ``real_rank``, this takes arrows to join white nodes.  Any other
-    diagram is counted by walking its classes."""
+    nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  No
+    node image is built without black nodes or arrows; arrows reversed in
+    place need no set search.  Like ``real_rank``, this takes arrows to join
+    white nodes.  Any other diagram is counted by walking its classes."""
     return _a_hyperbolic_count(d, real_rank(d))
 
 
@@ -121,19 +125,24 @@ def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
     run = iota_run(d.lie_type)
     if not run:
         return real
-    image = _iota_image(d, run)
+    fixed = d.components * (d.lie_type.rank - len(run) + len(run) % 2)
     black, arrows = d.black, d.arrows
+    if not (black or arrows):
+        return (real + fixed) // 2
+    image = _iota_image(d, run)
+    black_images = list(map(image.__getitem__, black))
     lefts, rights = zip(*arrows) if arrows else ((), ())
     left_images = list(map(image.__getitem__, lefts))
+    reversed_arrows = sum(map(eq, left_images, rights))  # each maps onto itself
     arrow_images = zip(left_images, map(image.__getitem__, rights))
-    black_images = list(map(image.__getitem__, black))
-    if not (black.issuperset(black_images) and arrows.union(zip(rights, lefts)).issuperset(arrow_images)):
+    if not (black.issuperset(black_images) and (
+        reversed_arrows == len(arrows) or arrows.union(zip(rights, lefts)).issuperset(arrow_images)
+    )):
         return sum(map(black.isdisjoint, _orbits(d, image)))
     # the fixed white nodes, less one per arrow fixed pointwise (one fixed
     # class for its two fixed nodes), plus one per arrow reversed
-    fixed = d.components * (d.lie_type.rank - len(run) + len(run) % 2)
     fixed -= sum(map(eq, black_images, black))
-    fixed += sum(map(eq, left_images, rights)) - sum(map(eq, left_images, lefts))
+    fixed += reversed_arrows - sum(map(eq, left_images, lefts))
     return (real + fixed) // 2
 
 

@@ -369,9 +369,9 @@ def _component_lines(d: SatakeDiagram, offset: int) -> list[str]:
         row += _bond(*bonds.get((prev, cur), (0, 0))) + marker(cur)
     labels = ""
     for pos, node in enumerate(chain):
-        column = 5 * pos
-        text = str(offset + node)
-        labels += " " * (column - len(labels)) + text
+        # the label's 5-column slot, or one space past a longer label before it
+        column = max(5 * pos, len(labels) + 1) if pos else 0
+        labels += " " * (column - len(labels)) + str(offset + node)
     lines = [row, labels]
     if branch is not None:
         attach, node = branch

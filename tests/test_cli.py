@@ -18,7 +18,9 @@ from types import ModuleType
 import pytest
 
 import ahrank
+from ahrank import cli, cones
 from ahrank.cli import _params_arg, build_parser, main
+from ahrank.satake import satake_of
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -436,3 +438,19 @@ def test_satake_show_memory_stays_linear_in_the_rank(capsys):
     assert code == 0
     assert out.count("o----") == 1998
     assert peak < 4 * 2**20
+
+
+def test_satake_show_builds_its_diagram_once(capsys, monkeypatch):
+    # the picture and both ranks are read off one diagram
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return satake_of(spec)
+
+    monkeypatch.setattr(cli, "satake_of", counted)
+    monkeypatch.setattr(cones, "satake_of", counted)
+    code, payload = run_json(capsys, "satake-show", "su(3,5)")
+    assert code == 0
+    assert (payload["real_rank"], payload["a_hyperbolic_rank"]) == (3, 3)
+    assert len(calls) == 1

@@ -16,6 +16,8 @@ from conftest import (
     solution_dimension,
     union_find_partition,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahrank import cones
 from ahrank.catalog import anomaly_scan, verify_table1
@@ -323,3 +325,77 @@ def test_reductive_algebra_invariants():
     a = ReductiveAlgebra((RealFormSpec("sl_R", (7,)), RealFormSpec("sl_R", (3,))))
     b = ReductiveAlgebra((RealFormSpec("sl_R", (3,)), RealFormSpec("sl_R", (7,))))
     assert a == b  # factor order is normalized
+
+
+@st.composite
+def hand_built_diagrams(draw) -> SatakeDiagram:
+    """A type where -w0 moves nodes (A, odd D, E6, rank <= 9) on one or two
+    components, a random black set, and a random matching of the white
+    nodes as ascending arrows; most break the count's preconditions."""
+    t = draw(st.sampled_from(
+        [LieType("A", n) for n in range(2, 10)] + [LieType("D", n) for n in (3, 5, 7, 9)] + [LieType("E", 6)]
+    ))
+    components = draw(st.sampled_from((1, 2)))
+    nodes = range(1, t.rank * components + 1)
+    black = draw(st.frozensets(st.sampled_from(nodes)))
+    white = draw(st.permutations([node for node in nodes if node not in black]))
+    pairs = draw(st.integers(0, len(white) // 2))
+    arrows = frozenset(tuple(sorted(white[2 * k:2 * k + 2])) for k in range(pairs))
+    return SatakeDiagram(t, black, arrows, components)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(hand_built_diagrams())
+def test_count_equals_listed_free_classes_on_hand_built_diagrams(d):
+    assert a_hyperbolic_rank(d) == antipodal_classes(d).free_count
+
+
+def _image_calls(monkeypatch) -> list[SatakeDiagram]:
+    """Record each diagram that the -w0 image array is built for."""
+    calls = []
+    build = cones._iota_image
+
+    def recorded(d, run):
+        calls.append(d)
+        return build(d, run)
+
+    monkeypatch.setattr(cones, "_iota_image", recorded)
+    return calls
+
+
+def test_reversed_arrows_are_counted_with_no_walk(monkeypatch):
+    # -w0 on A5 sends i to 6 - i, so it reverses (1, 5) and (2, 4) in place;
+    # the classes are {1, 5}, {2, 4} and {3}, all three fixed
+    d = SatakeDiagram(LieType("A", 5), arrows=frozenset([(1, 5), (2, 4)]))
+    walked = _walk_calls(monkeypatch)
+    assert a_hyperbolic_rank(d) == 3
+    assert walked == []
+
+
+def test_an_arrow_not_reversed_is_walked(monkeypatch):
+    # -w0 sends the arrow (2, 3) to (4, 3), which is no arrow, so the arrow
+    # set is searched and the diagram walked: classes {1, 5} and {2, 3, 4}
+    d = SatakeDiagram(LieType("A", 5), arrows=frozenset([(1, 5), (2, 3)]))
+    walked = _walk_calls(monkeypatch)
+    assert a_hyperbolic_rank(d) == 2
+    assert walked == [d]
+    assert antipodal_classes(d).free_count == 2
+
+
+def test_no_black_node_and_no_arrow_builds_no_image(monkeypatch):
+    # F is then the number of nodes -w0 fixes: the middle of an odd run
+    # and every node off it
+    diagrams = {
+        SatakeDiagram(LieType("A", 5)): 3,
+        SatakeDiagram(LieType("A", 6)): 3,
+        SatakeDiagram(LieType("D", 7)): 6,
+        SatakeDiagram(LieType("E", 6)): 4,
+        SatakeDiagram(LieType("A", 5), components=2): 6,
+    }
+    walked = _walk_calls(monkeypatch)
+    built = _image_calls(monkeypatch)
+    for d, rank in diagrams.items():
+        assert a_hyperbolic_rank(d) == rank, d
+    assert (walked, built) == ([], [])
+    for d, rank in diagrams.items():
+        assert antipodal_classes(d).free_count == rank, d

@@ -1,18 +1,22 @@
 """Property tests: printing round-trips, parsing is invariant under the
 presentations of an isomorphism class, the lexer agrees with the
-character-by-character reference lexer, and any string of grammar tokens
-parses or raises ``ParseError`` inside the text."""
+character-by-character reference lexer, any string of grammar tokens
+parses or raises ``ParseError`` inside the text, and the command line ends
+every argv with exit code 0, 1 or 2."""
 
 from __future__ import annotations
 
+import io
 import string
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from conftest import database_specs, reference_tokenize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ahrank.cli import main
 from ahrank.cones import ReductiveAlgebra
 from ahrank.notation import _MAX_INT_DIGITS, ParseError, _render_factor, _tokenize, parse, render
 from ahrank.satake import _COINCIDENCES, RealFormSpec
@@ -113,3 +117,61 @@ def test_parse_returns_or_raises_parse_error(text, params):
         parse(text, params)
     except ParseError as err:
         assert 0 <= err.position <= len(text)
+
+
+#: Expressions of real forms and algebras; some take the parameter k.
+_ARGV_FORMS = [
+    "sl(3,R)", "su(2,1) x T^1", "e6(IV)", "so(3,C)", "sp(2,1)", "su*(14) x T^1", "R^2",
+    "{SL(3,C) x SU(2,1)}/Z_3", "Spin(4,4)", "sl(3,R) x sl(3,R)", "so(2k-1,2k-1)", "sl(k,R)",
+    "su*(2k)", "T^k",
+]
+#: Expressions that fail to parse or name a form outside its family's
+#: domain or above the parameter bound.
+_ARGV_BAD_EXPRESSIONS = ["sl(1,R)", "sl(100001,R)", "so*(4)", "e6(XI)", "sl(", "(,)", "", "x", "ℝ", "su(2,1)/Z_"]
+#: Each subcommand with the number of expressions it takes and its option.
+_COMMANDS = {
+    "rank": (1, "--params"), "decide": (2, "--params"), "embed-check": (2, "--params"),
+    "satake-show": (1, "--params"), "orbits": (1, "--params"),
+    "table1": (0, "--kmax"), "table2": (0, "--bound"), "anomaly-scan": (0, "--rank"),
+}
+#: Option values: --params entries, good and bad, and sweep bounds that
+#: are small (a large one would make a sweep slow), zero, negative or no
+#: integer.
+_OPTION_VALUES = {
+    "--params": ["k=3", "k=0", "k=-1", "k=100001", "k=2,,l=1", "k=", "=2", "k=x"],
+    "sweep": ["5", "2", "1", "0", "-3", "x"],
+}
+#: Tokens no subcommand expects where they are put, or that stop it early.
+_ARGV_STRAYS = [("--help",), ("-h",), ("--bogus",), ("2",), ("sl(3,R)",), ("--kmax", "5"), ("--params", "k=3")]
+
+
+def _command_argvs(command: str):
+    """``command``, as many expressions as it takes (mostly well formed),
+    and up to two options, each mostly its own, with or without a value;
+    the strays add an expression too many or another command's option."""
+    arity, option = _COMMANDS[command]
+    values = _OPTION_VALUES.get(option, _OPTION_VALUES["sweep"])
+    own = st.sampled_from([(option, value) for value in values] + [(option,)])
+    expressions = st.one_of(
+        st.sampled_from(_ARGV_FORMS), st.sampled_from(_ARGV_FORMS), st.sampled_from(_ARGV_BAD_EXPRESSIONS)
+    )
+    return st.builds(
+        lambda given, options: [command, *given, *(token for pair in options for token in pair)],
+        st.lists(expressions, min_size=arity, max_size=arity),
+        st.lists(st.one_of(own, own, own, st.sampled_from(_ARGV_STRAYS)), max_size=2),
+    )
+
+
+argvs = st.one_of([_command_argvs(command) for command in _COMMANDS])
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=argvs)
+def test_cli_exits_0_1_or_2(argv, json_flag):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + json_flag)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv + json_flag

@@ -480,3 +480,11 @@ def test_canonical_is_complete_up_to_rank_4():
         images[image] = diagrams
     for (a, da), (b, db) in itertools.combinations(images.items(), 2):
         assert not isomorphic_diagrams(da, db), (a, b)
+
+
+def test_five_digit_labels_stay_apart():
+    # from rank 10,000 a label outgrows its 5-column slot and starts one
+    # space past the label before it
+    labels = ascii_diagram(satake_of(RealFormSpec("sl_R", (10003,)))).splitlines()[1]
+    assert labels.split() == [str(node) for node in range(1, 10003)]
+    assert labels.endswith(" 9999 10000 10001 10002")
