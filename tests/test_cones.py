@@ -331,7 +331,7 @@ def test_reductive_algebra_invariants():
 def hand_built_diagrams(draw) -> SatakeDiagram:
     """A type where -w0 moves nodes (A, odd D, E6, rank <= 9) on one or two
     components, a random black set, and a random matching of the white
-    nodes as ascending arrows; most break the count's preconditions."""
+    nodes as ascending arrows; many break the count's preconditions."""
     t = draw(st.sampled_from(
         [LieType("A", n) for n in range(2, 10)] + [LieType("D", n) for n in (3, 5, 7, 9)] + [LieType("E", 6)]
     ))
@@ -370,6 +370,7 @@ def test_reversed_arrows_are_counted_with_no_walk(monkeypatch):
     walked = _walk_calls(monkeypatch)
     assert a_hyperbolic_rank(d) == 3
     assert walked == []
+    assert antipodal_classes(d).free_count == 3
 
 
 def test_an_arrow_not_reversed_is_walked(monkeypatch):
