@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from .cones import RankProfile, ReductiveAlgebra, factor_profile, rank_profile
+from .cones import factor_profile, rank_profile
 from .decision import Verdict, decide
 from .notation import parse
 from .rootsys import Record, canonical_types, iota_run
@@ -396,14 +396,6 @@ def _instances(row: FamilyRow, bound: int) -> Iterator[dict[str, int]]:
             yield dict(zip(row.param_names, values))
 
 
-def _simple_noncompact(alg: ReductiveAlgebra, profile: RankProfile) -> bool:
-    """Whether ``alg``, with rank profile ``profile``, is one simple
-    noncompact factor: with no center, its real rank is the factor's."""
-    if len(alg.simple_factors) != 1 or alg.compact_center_dim or alg.split_center_dim:
-        return False
-    return profile.real_rank >= 1
-
-
 def verify_table2(param_bound: int) -> VerificationReport:
     """Instantiate every 3-symmetric row at all parameter tuples within the
     bound; every instance must admit, the disputed entries must reproduce
@@ -420,7 +412,7 @@ def verify_table2(param_bound: int) -> VerificationReport:
         for params in _instances(row, param_bound):
             g = parse(row.g_template, params)
             g_profile = rank_profile(g)
-            if not _simple_noncompact(g, g_profile):
+            if g.sole_factor is None or g_profile.real_rank < 1:
                 skips.append((row.source, tuple(sorted(params.items())), "G not simple noncompact"))
                 continue
             instances += 1

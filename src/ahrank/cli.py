@@ -136,10 +136,9 @@ def _cmd_embed_check(args) -> int:
 def _single_factor(args) -> tuple:
     """Parse FORM; returns its rendered name and its one simple factor."""
     alg = parse_expression(args.form, args.params).algebra
-    form = render(alg)
-    if len(alg.simple_factors) != 1 or alg.compact_center_dim or alg.split_center_dim:
-        raise InvalidRealFormError(f"expected a single simple factor, got {form!r}")
-    return form, alg.simple_factors[0]
+    if alg.sole_factor is None:
+        raise InvalidRealFormError(f"expected a single simple factor, got {render(alg)!r}")
+    return render(alg), alg.sole_factor
 
 
 def _cmd_satake_show(args) -> int:

@@ -194,6 +194,14 @@ class ReductiveAlgebra(Record):
         if not ordered and not (compact_center_dim or split_center_dim):
             raise ValueError("empty factor list requires a positive center dimension")
 
+    @property
+    def sole_factor(self) -> RealFormSpec | None:
+        """The one simple factor of a simple algebra (one factor, no
+        center), else ``None``."""
+        if len(self.simple_factors) != 1 or self.compact_center_dim or self.split_center_dim:
+            return None
+        return self.simple_factors[0]
+
 
 def factor_profile(spec: RealFormSpec) -> RankProfile:
     d = satake_of(spec)

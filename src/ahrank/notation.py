@@ -42,7 +42,7 @@ import re
 
 from .cones import ReductiveAlgebra
 from .rootsys import Record
-from .satake import EXCEPTIONAL, RealFormSpec
+from .satake import EXCEPTIONAL, FAMILIES, RealFormSpec
 
 _DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
 #: The lexer's pieces, which tile the text: a whitespace run, a letter run
@@ -60,9 +60,11 @@ _SYMBOLS = "(),^/{}[]+-*_"
 _EXCEPTIONAL_TYPES = {(letter.lower(), rank) for letter, rank, _, _ in EXCEPTIONAL.values()}
 _FORM_LABELS = {family.partition("_")[2].lower() for family in EXCEPTIONAL} | {"c"}
 _EXCEPTIONAL_FAMILY = {family.lower(): family for family in EXCEPTIONAL}
-#: Longest integer literal accepted: Python's default limit on converting a
-#: decimal string to int, past which ``int()`` itself raises.
+#: Longest integer literal, and longest argument value, accepted: Python's
+#: default limit on converting between int and decimal string, past which
+#: ``int()`` and ``str()`` themselves raise.
 _MAX_INT_DIGITS = 4300
+_ARGUMENT_BOUND = 10**_MAX_INT_DIGITS
 
 
 class ParseError(ValueError):
@@ -227,7 +229,9 @@ class _Parser:
 
     def _arith(self) -> int:
         """arg := ["-"] term (("+" | "-") term)*, term := INT [NAME] | NAME;
-        a NAME starting with "x" after an INT is a separator, not a factor."""
+        a NAME starting with "x" after an INT is a separator, not a factor.
+        A value of more than ``_MAX_INT_DIGITS`` digits is an error at the
+        argument's start."""
         tokens, env = self.tokens, self.env
         i = self.index
         kind, text, pos = tokens[i]
@@ -258,6 +262,9 @@ class _Parser:
                 raise ParseError("expected an integer argument", pos)
             total += sign * value
             if kind != "SYM" or text not in "+-":
+                if abs(total) >= _ARGUMENT_BOUND:
+                    start = tokens[self.index][2]
+                    raise ParseError(f"argument value longer than {_MAX_INT_DIGITS} digits", start)
                 self.index = i
                 return total
             sign = -1 if text == "-" else 1
@@ -509,43 +516,10 @@ def parse(text: str, params: dict[str, int] | None = None) -> ReductiveAlgebra:
 # ---------------------------------------------------------------------------
 # printing
 
-#: Each family's name from its parameters, for all but the exceptional
-#: types: the one- and two-parameter families, then the compact and complex
-#: classical types by rank.
-_NAMES = {
-    "sl_R": lambda n: f"sl({n},R)",
-    "su_star": lambda m: f"su*({m})",
-    "sp_R": lambda n: f"sp({n},R)",
-    "so_star": lambda m: f"so*({m})",
-    "su_pq": lambda p, q: f"su({p},{q})",
-    "so_pq": lambda p, q: f"so({p},{q})",
-    "sp_pq": lambda p, q: f"sp({p},{q})",
-    "compact_A": lambda r: f"su({r + 1})",
-    "compact_B": lambda r: f"so({2 * r + 1})",
-    "compact_C": lambda r: f"sp({r})",
-    "compact_D": lambda r: f"so({2 * r})",
-    "complex_A": lambda r: f"sl({r + 1},C)",
-    "complex_B": lambda r: f"so({2 * r + 1},C)",
-    "complex_C": lambda r: f"sp({r},C)",
-    "complex_D": lambda r: f"so({2 * r},C)",
-}
-
-
-def _render_factor(spec: RealFormSpec) -> str:
-    name = _NAMES.get(spec.family)
-    if name is not None:
-        return name(*spec.params)
-    kind, _, label = spec.family.partition("_")
-    if kind == "compact":  # compact and complex E, F and G: e6, e6(C)
-        return f"{label.lower()}{spec.params[0]}"
-    if kind == "complex":
-        return f"{label.lower()}{spec.params[0]}(C)"
-    return f"{kind}({label})"  # exceptional real forms: e6_IV -> e6(IV)
-
-
 def render(alg: ReductiveAlgebra) -> str:
-    """Canonical form: factors sorted, centers appended as T^k and R^k."""
-    parts = [_render_factor(spec) for spec in alg.simple_factors]
+    """Canonical form: each factor by its name in ``satake.FAMILIES``, the
+    factors sorted, centers appended as T^k and R^k."""
+    parts = [FAMILIES[spec.family][2](*spec.params) for spec in alg.simple_factors]
     if alg.compact_center_dim:
         parts.append(f"T^{alg.compact_center_dim}")
     if alg.split_center_dim:

@@ -81,7 +81,7 @@ class LieType(Record):
     __slots__ = ("letter", "rank")
 
     def __init__(self, letter: str, rank: int) -> None:
-        if letter not in SERIES:
+        if len(letter) != 1 or letter not in SERIES:
             raise ValueError(f"unknown series {letter!r}; expected one of {SERIES}")
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")

@@ -12,32 +12,22 @@ Onishchik-Vinberg classification tables: split and signature families for
 the classical types, so*, the exceptional forms, all-black compact
 diagrams, and doubled diagrams for complex algebras regarded as real.
 
-Families and parameter conventions
-----------------------------------
-==============   ==========================   =========================
-family           parameters                   algebra
-==============   ==========================   =========================
-sl_R             (n,), n >= 2                 sl(n, R)
-su_star          (2n,), 2n >= 4               su*(2n) = sl(n, H)
-su_pq            (p, q), p, q >= 1            su(p, q)
-so_pq            (p, q), p, q >= 1, p+q >= 3  so(p, q)
-sp_R             (n,), n >= 1                 sp(n, R)
-sp_pq            (p, q), p, q >= 1            sp(p, q)
-so_star          (2n,), 2n >= 4               so*(2n)
-e6_I .. e6_IV    ()                           real forms of E6
-e7_V .. e7_VII   ()                           real forms of E7
-e8_VIII, e8_IX   ()                           real forms of E8
-f4_I, f4_II      ()                           real forms of F4
-g2_split         ()                           split G2
-compact_X        (rank,)                      compact form of X_rank
-complex_X        (rank,)                      X_rank(C) viewed as real
-==============   ==========================   =========================
+Families
+--------
+``FAMILIES`` is the one statement of each family: its label, parameter
+count, constructor (with its domain check) and printed name.  The labels
+are sl_R (n), su_star (2n), su_pq (p, q), so_pq (p, q), sp_R (n), sp_pq
+(p, q) and so_star (2n); compact_X and complex_X (rank) for each series X,
+the compact form and X_rank(C) viewed as real; and the exceptional forms
+of ``EXCEPTIONAL`` (e6_I .. g2_split), which take no parameters.
 
 Doubled diagrams number the second copy after the first: nodes 1..n and
 n+1..2n, with arrows (i, n+i).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .rootsys import LieType, Record, _edges
 
@@ -162,9 +152,6 @@ def _so_star(m: int) -> SatakeDiagram:
     )
 
 
-_ONE_PARAM = {"sl_R": _sl_R, "su_star": _su_star, "sp_R": _sp_R, "so_star": _so_star}
-_TWO_PARAM = {"su_pq": _su_pq, "so_pq": _so_pq, "sp_pq": _sp_pq}
-
 #: The exceptional real forms, in enumeration order: family label to
 #: (series letter, rank, black nodes, ascending arrow pairs) in chain-first
 #: numbering (the E-series branch node carries the highest index).  The
@@ -197,10 +184,60 @@ def complex_as_real(t: LieType) -> SatakeDiagram:
     )
 
 
-def _compact(letter: str, rank: int) -> SatakeDiagram:
-    t = LieType(letter, rank)
-    return SatakeDiagram(t, black=frozenset(range(1, rank + 1)))
+def _series_type(letter: str, rank: int) -> LieType:
+    """``LieType(letter, rank)``, a rank outside the series a domain error."""
+    try:
+        return LieType(letter, rank)
+    except ValueError as exc:
+        raise InvalidRealFormError(str(exc)) from exc
 
+
+def _compact_form(letter: str, rank: int) -> SatakeDiagram:
+    return SatakeDiagram(_series_type(letter, rank), black=frozenset(range(1, rank + 1)))
+
+
+def _complex_form(letter: str, rank: int) -> SatakeDiagram:
+    return complex_as_real(_series_type(letter, rank))
+
+
+#: Every real-form family: label to (parameter count, constructor, printed
+#: name).  The constructor takes the parameters, checks their domain and
+#: builds the Satake diagram; the name is the form in the input language,
+#: a callable of the same parameters.
+FAMILIES = {
+    "sl_R": (1, _sl_R, "sl({},R)".format),
+    "su_star": (1, _su_star, "su*({})".format),
+    "su_pq": (2, _su_pq, "su({},{})".format),
+    "so_pq": (2, _so_pq, "so({},{})".format),
+    "sp_R": (1, _sp_R, "sp({},R)".format),
+    "sp_pq": (2, _sp_pq, "sp({},{})".format),
+    "so_star": (1, _so_star, "so*({})".format),
+    "compact_A": (1, partial(_compact_form, "A"), lambda r: f"su({r + 1})"),
+    "compact_B": (1, partial(_compact_form, "B"), lambda r: f"so({2 * r + 1})"),
+    "compact_C": (1, partial(_compact_form, "C"), "sp({})".format),
+    "compact_D": (1, partial(_compact_form, "D"), lambda r: f"so({2 * r})"),
+    "compact_E": (1, partial(_compact_form, "E"), "e{}".format),
+    "compact_F": (1, partial(_compact_form, "F"), "f{}".format),
+    "compact_G": (1, partial(_compact_form, "G"), "g{}".format),
+    "complex_A": (1, partial(_complex_form, "A"), lambda r: f"sl({r + 1},C)"),
+    "complex_B": (1, partial(_complex_form, "B"), lambda r: f"so({2 * r + 1},C)"),
+    "complex_C": (1, partial(_complex_form, "C"), "sp({},C)".format),
+    "complex_D": (1, partial(_complex_form, "D"), lambda r: f"so({2 * r},C)"),
+    "complex_E": (1, partial(_complex_form, "E"), "e{}(C)".format),
+    "complex_F": (1, partial(_complex_form, "F"), "f{}(C)".format),
+    "complex_G": (1, partial(_complex_form, "G"), "g{}(C)".format),
+    # the exceptional forms take no parameters: e6_IV prints as e6(IV)
+    **{
+        family: (
+            0,
+            partial(SatakeDiagram, LieType(letter, rank), frozenset(black), frozenset(arrows)),
+            f"{family.replace('_', '(')})".format,
+        )
+        for family, (letter, rank, black, arrows) in EXCEPTIONAL.items()
+    },
+}
+
+_PARAMETER_COUNTS = ("no parameters", "one parameter", "two parameters")
 
 #: The largest family parameter ``satake_of`` accepts, so that every
 #: diagram is built in bounded time and memory.
@@ -208,31 +245,16 @@ MAX_PARAMETER = 100_000
 
 
 def satake_of(spec: RealFormSpec) -> SatakeDiagram:
-    """Satake diagram of a real form, built from its family constructor."""
+    """Satake diagram of a real form, built by its family's constructor."""
     family, params = spec.family, spec.params
     if params and max(params) > MAX_PARAMETER:
         raise InvalidRealFormError(f"real-form parameter {max(params)} is above the bound {MAX_PARAMETER}")
-    if family in EXCEPTIONAL:
-        _require(params == (), f"{family} takes no parameters, got {params}")
-        letter, rank, black, arrows = EXCEPTIONAL[family]
-        return SatakeDiagram(
-            LieType(letter, rank), black=frozenset(black), arrows=frozenset(arrows)
-        )
-    if family in _ONE_PARAM:
-        _require(len(params) == 1, f"{family} takes one parameter, got {params}")
-        return _ONE_PARAM[family](params[0])
-    if family in _TWO_PARAM:
-        _require(len(params) == 2, f"{family} takes two parameters, got {params}")
-        return _TWO_PARAM[family](params[0], params[1])
-    if family.startswith("compact_") or family.startswith("complex_"):
-        kind, _, letter = family.partition("_")
-        _require(len(params) == 1, f"{family} takes one parameter (the rank), got {params}")
-        try:
-            t = LieType(letter, params[0])
-        except ValueError as exc:
-            raise InvalidRealFormError(str(exc)) from exc
-        return _compact(letter, params[0]) if kind == "compact" else complex_as_real(t)
-    raise InvalidRealFormError(f"unknown real-form family {family!r}")
+    row = FAMILIES.get(family)
+    if row is None:
+        raise InvalidRealFormError(f"unknown real-form family {family!r}")
+    count, build, _ = row
+    _require(len(params) == count, f"{family} takes {_PARAMETER_COUNTS[count]}, got {params}")
+    return build(*params)
 
 
 def real_rank(d: SatakeDiagram) -> int:
@@ -280,8 +302,9 @@ _COINCIDENCES: dict[RealFormSpec, tuple[RealFormSpec, ...]] = {
 def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
     """One product of specs per isomorphism class: two parameters ascending,
     then the ``_COINCIDENCES`` image; every result has a canonical type."""
-    if spec.family in _TWO_PARAM and spec.params != (ordered := tuple(sorted(spec.params))):
-        spec = RealFormSpec(spec.family, ordered)
+    family, params = spec.family, spec.params
+    if len(params) == 2 and params[0] > params[1] and FAMILIES.get(family, (0,))[0] == 2:
+        spec = RealFormSpec(family, params[::-1])
     return _COINCIDENCES.get(spec, (spec,))
 
 
@@ -297,27 +320,23 @@ def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
         if total % 2 == 0 and total >= 4:
             forms.append(RealFormSpec("su_star", (total,)))
         forms.extend(RealFormSpec("su_pq", (p, total - p)) for p in range(1, total // 2 + 1))
-        forms.append(RealFormSpec("compact_A", (n,)))
     elif t.letter == "B":
         total = 2 * n + 1
         forms.extend(RealFormSpec("so_pq", (p, total - p)) for p in range(1, n + 1))
-        forms.append(RealFormSpec("compact_B", (n,)))
     elif t.letter == "C":
         forms.append(RealFormSpec("sp_R", (n,)))
         forms.extend(RealFormSpec("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1))
-        forms.append(RealFormSpec("compact_C", (n,)))
     elif t.letter == "D":
         total = 2 * n
         forms.extend(RealFormSpec("so_pq", (p, total - p)) for p in range(1, n + 1))
         forms.append(RealFormSpec("so_star", (total,)))
-        forms.append(RealFormSpec("compact_D", (n,)))
     else:
         forms.extend(
             RealFormSpec(family)
             for family, (letter, rank, _, _) in EXCEPTIONAL.items()
             if (letter, rank) == (t.letter, n)
         )
-        forms.append(RealFormSpec(f"compact_{t.letter}", (n,)))
+    forms.append(RealFormSpec(f"compact_{t.letter}", (n,)))
     return tuple(s for s in forms if s not in _COINCIDENCES)
 
 

@@ -164,6 +164,24 @@ def test_overlong_integer_literal_exit_2(capsys):
     assert "integer literal longer than 4300 digits (position 3)" in err
 
 
+@pytest.mark.parametrize("text,position", [("T^{}k", 2), ("sl({}k,R)", 3), ("su(1, 1 + {}k)", 6)])
+def test_argument_value_past_the_int_string_limit_exit_2(capsys, text, position):
+    # each literal and the bound value are within the limit, their product is not
+    nines = "9" * 4299
+    code, out, err = run(capsys, "rank", text.format(nines), "--params", f"k={nines}")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: argument value longer than 4300 digits (position {position})\n"
+    assert "set_int_max_str_digits" not in err
+
+
+def test_argument_value_of_4300_digits_is_accepted(capsys):
+    nines = "9" * 4300
+    code, out, _err = run(capsys, "rank", f"T^{nines}")
+    assert (code, out.splitlines()[0]) == (0, f"algebra:           T^{nines}")
+    code, _out, err = run(capsys, "rank", f"T^{nines}+1")
+    assert (code, err) == (2, "parse error: argument value longer than 4300 digits (position 2)\n")
+
+
 def test_not_a_subgroup_exit_1(capsys):
     code, _out, err = run(capsys, "decide", "so(3,4)", "e8(VIII)")
     assert code == 1
@@ -174,6 +192,14 @@ def test_orbits_requires_single_factor(capsys):
     code, _out, err = run(capsys, "orbits", "sl(2,R) x sl(3,R)")
     assert code == 1
     assert "single simple factor" in err
+
+
+@pytest.mark.parametrize("command", ["satake-show", "orbits"])
+def test_a_center_is_not_a_single_factor(capsys, command):
+    for form in ("sl(3,R) x R^1", "sl(3,R) x T^1"):
+        code, out, err = run(capsys, command, form)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected a single simple factor, got '{form}'\n"
 
 
 def test_satake_show_rejects_split_so_star_4(capsys):

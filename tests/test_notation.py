@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from conftest import database_specs
 
 from ahrank.cones import RankProfile, ReductiveAlgebra, rank_profile
 from ahrank.notation import ParseError, parse, parse_expression, render
-from ahrank.satake import RealFormSpec
+from ahrank.satake import FAMILIES, RealFormSpec
 
 
 def spec(family: str, *params: int) -> RealFormSpec:
@@ -206,6 +207,16 @@ def test_parse_render_round_trip(text):
     assert parse(render(algebra)) == algebra
     # canonicalization is idempotent through the printer
     assert render(parse(render(algebra))) == render(algebra)
+
+
+def test_every_family_row_round_trips():
+    # the first instance of each family in the database, printed from its
+    # row's name and parsed back
+    first = {spec.family: spec for spec in reversed(database_specs(8, 8))}
+    assert set(first) == set(FAMILIES)
+    for spec in first.values():
+        algebra = ReductiveAlgebra((spec,))
+        assert parse(render(algebra)) == algebra
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from ahrank.cli import main
 from ahrank.cones import ReductiveAlgebra
-from ahrank.notation import _MAX_INT_DIGITS, ParseError, _render_factor, _tokenize, parse, render
-from ahrank.satake import _COINCIDENCES, RealFormSpec
+from ahrank.notation import _MAX_INT_DIGITS, ParseError, _tokenize, parse, render
+from ahrank.satake import _COINCIDENCES, FAMILIES, RealFormSpec
 
 FORMS = database_specs(8, 8)
 #: The images of the coincidences, drawn as often as all other forms together
@@ -35,7 +35,7 @@ products = st.tuples(
 
 def _text(factors, compact, split) -> str:
     """The expression naming each factor as given, without canonicalizing."""
-    parts = [_render_factor(spec) for spec in factors]
+    parts = [FAMILIES[spec.family][2](*spec.params) for spec in factors]
     if compact:
         parts.append(f"T^{compact}")
     if split:

@@ -189,6 +189,13 @@ def test_lie_type_validation(letter, rank):
         LieType(letter, rank)
 
 
+@pytest.mark.parametrize("letter", ["", "AB", "a", "ABCDEFG"])
+def test_lie_type_letter_is_one_series_letter(letter):
+    # a membership test against the string "ABCDEFG" would admit substrings
+    with pytest.raises(ValueError, match=r"unknown series .*; expected one of ABCDEFG"):
+        LieType(letter, 3)
+
+
 def test_lie_type_canonical_flag():
     types = canonical_types(8)
     assert LieType("D", 3) not in types

@@ -13,6 +13,7 @@ from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
     _COINCIDENCES,
     EXCEPTIONAL,
+    FAMILIES,
     MAX_PARAMETER,
     InvalidRealFormError,
     RealFormSpec,
@@ -249,12 +250,24 @@ def test_export_schema_and_determinism():
         RealFormSpec("e6_IV", (3,)),
         RealFormSpec("nonsense"),
         RealFormSpec("compact_E", (5,)),
+        RealFormSpec("compact_", (3,)),
+        RealFormSpec("compact_AB", (3,)),
+        RealFormSpec("complex_DE", (3,)),
     ],
     ids=str,
 )
 def test_domain_errors(spec):
     with pytest.raises(InvalidRealFormError):
         satake_of(spec)
+
+
+def test_family_table_has_no_dead_row():
+    # every row is a form that real_forms lists, a complex algebra viewed
+    # as real, or an exceptional form, and each of these has a row
+    listed = {spec.family for t in canonical_types(8) for spec in real_forms(t)}
+    complex_forms = {f"complex_{letter}" for letter in SERIES}
+    assert set(FAMILIES) == listed | complex_forms | set(EXCEPTIONAL)
+    assert len(complex_forms) == 7 and len(EXCEPTIONAL) == 12
 
 
 def test_real_forms_enumeration():
