@@ -103,30 +103,27 @@ class VerificationReport(Record):
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "rows_checked": self.rows_checked,
-            "instances_checked": self.instances_checked,
-            "passed": self.passed,
-            "failures": [list(f) for f in self.failures],
-            "skips": [list(s) for s in self.skips],
-        }
+        return {**Record.to_dict(self), "passed": self.passed}
+
+
+def _table1(k_max: int) -> Iterator[tuple[str, tuple[int, ...], RealFormSpec, tuple[int, int]]]:
+    """Every Table 1 instance with k up to k_max, as (source, parameters,
+    spec, (a-hyperbolic rank, real rank)): the families, then the
+    exceptional rows."""
+    for row in TABLE1_FAMILIES:
+        for k in range(row.k_min, k_max + 1):
+            yield row.source, (k,), row.spec_of(k), row.expected(k)
+    for label, spec, want in TABLE1_EXCEPTIONAL:
+        yield f"rank table, {label}", (), spec, want
 
 
 def verify_table1(k_max: int) -> VerificationReport:
     """Check both rank columns of every Table 1 family for k up to k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    cases = itertools.chain(
-        (
-            (row.source, (k,), row.spec_of(k), row.expected(k))
-            for row in TABLE1_FAMILIES
-            for k in range(row.k_min, k_max + 1)
-        ),
-        ((f"rank table, {label}", (), spec, want) for label, spec, want in TABLE1_EXCEPTIONAL),
-    )
     failures = []
     instances = 0
-    for source, params, spec, want in cases:
+    for source, params, spec, want in _table1(k_max):
         instances += 1
         profile = factor_profile(spec)
         got = (profile.a_hyperbolic_rank, profile.real_rank)
@@ -155,26 +152,19 @@ def anomaly_scan(rank_bound: int) -> tuple[RealFormSpec, ...]:
             profile = factor_profile(spec)
             if profile.a_hyperbolic_rank != profile.real_rank:
                 found.append(spec)
-    return tuple(sorted(found, key=lambda s: (s.family, s.params)))
+    return tuple(sorted(found, key=RealFormSpec._values))
 
 
 def table1_predicted_anomalies(rank_bound: int) -> tuple[RealFormSpec, ...]:
-    """The rank-table prediction of the anomaly scan: all family instances
-    within the rank bound whose tabulated ranks actually differ."""
-    predicted = []
-    for row in TABLE1_FAMILIES:
-        k = row.k_min
-        while satake_of(row.spec_of(k)).lie_type.rank <= rank_bound:
-            ahyp, real = row.expected(k)
-            if ahyp != real:
-                predicted.append(row.spec_of(k))
-            k += 1
-    predicted.extend(
+    """The rank-table prediction of the anomaly scan: all instances within
+    the rank bound whose tabulated ranks actually differ, in the scan's
+    order.  Every family's rank is at least k, so k runs to the bound."""
+    predicted = (
         spec
-        for _, spec, _ in TABLE1_EXCEPTIONAL
-        if satake_of(spec).lie_type.rank <= rank_bound
+        for _, _, spec, (ahyp, real) in _table1(rank_bound)
+        if ahyp != real and satake_of(spec).lie_type.rank <= rank_bound
     )
-    return tuple(sorted(predicted, key=lambda s: (s.family, s.params)))
+    return tuple(sorted(predicted, key=RealFormSpec._values))
 
 
 # ---------------------------------------------------------------------------

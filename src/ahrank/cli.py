@@ -51,8 +51,7 @@ def _rank_payload(expression: str, record, profile) -> dict:
     return {
         "expression": expression,
         "canonical": render(record.algebra),
-        "real_rank": profile.real_rank,
-        "a_hyperbolic_rank": profile.a_hyperbolic_rank,
+        **profile.to_dict(),
         "discarded": list(record.discarded),
     }
 
@@ -145,8 +144,7 @@ def _cmd_satake_show(args) -> int:
     form, spec = _single_factor(args)
     diagram = satake_of(spec)
     profile = RankProfile(real_rank(diagram), a_hyperbolic_rank(diagram))
-    payload = export(diagram)
-    payload.update(form=form, real_rank=profile.real_rank, a_hyperbolic_rank=profile.a_hyperbolic_rank)
+    payload = {**export(diagram), "form": form, **profile.to_dict()}
     _emit(args, payload, f"{form}\n{ascii_diagram(diagram)}")
     return 0
 
@@ -187,7 +185,7 @@ def _cmd_anomaly_scan(args) -> int:
     from .catalog import anomaly_scan, table1_predicted_anomalies
 
     found = anomaly_scan(args.rank)
-    passed = set(found) == set(table1_predicted_anomalies(args.rank))
+    passed = found == table1_predicted_anomalies(args.rank)
     payload = {
         "rank_bound": args.rank,
         "anomalies": [str(spec) for spec in found],

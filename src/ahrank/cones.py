@@ -185,7 +185,7 @@ class ReductiveAlgebra(Record):
         split_center_dim: int = 0,
     ) -> None:
         factors = (image for spec in simple_factors for image in canonical(spec))
-        ordered = tuple(sorted(factors, key=lambda s: (s.family, s.params)))
+        ordered = tuple(sorted(factors, key=RealFormSpec._values))
         object.__setattr__(self, "simple_factors", ordered)
         object.__setattr__(self, "compact_center_dim", compact_center_dim)
         object.__setattr__(self, "split_center_dim", split_center_dim)

@@ -44,15 +44,6 @@ class TraceStep(Record):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "holds", holds)
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "lhs": self.lhs,
-            "op": self.op,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-
 
 class Decision(Record):
     __slots__ = ("verdict", "trace")
@@ -60,12 +51,6 @@ class Decision(Record):
     def __init__(self, verdict: Verdict, trace: tuple[TraceStep, ...]) -> None:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "trace", trace)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "trace": [step.to_dict() for step in self.trace],
-        }
 
 
 class NotASubgroupPairError(ValueError):
@@ -111,9 +96,6 @@ class Obstruction(Record):
     def __init__(self, obstructed: bool, witnesses: tuple[str, ...]) -> None:
         object.__setattr__(self, "obstructed", obstructed)
         object.__setattr__(self, "witnesses", witnesses)
-
-    def to_dict(self) -> dict:
-        return {"obstructed": self.obstructed, "witnesses": list(self.witnesses)}
 
 
 def embed_obstruction(g: RankProfile, h: RankProfile) -> Obstruction:

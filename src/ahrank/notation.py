@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 
 from .cones import ReductiveAlgebra
-from .rootsys import Record
+from .rootsys import EXCEPTIONAL_TYPES, Record
 from .satake import EXCEPTIONAL, FAMILIES, RealFormSpec
 
 _DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
@@ -54,10 +54,10 @@ _DOUBLE_STRUCK = str.maketrans("ℝℂℍℤ", "rchz")
 _PIECES = re.compile(r"\s+|[A-Za-zℝℂℍℤ]+\*?|\d+|.", re.S).findall
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyzℝℂℍℤ"
 _SYMBOLS = "(),^/{}[]+-*_"
-#: Lookups derived from ``satake.EXCEPTIONAL``: the exceptional types as
-#: (lower-case letter, rank), every form label ("c" for a complex algebra
-#: viewed as real), and each lower-case family label ("e6_iv") to its family.
-_EXCEPTIONAL_TYPES = {(letter.lower(), rank) for letter, rank, _, _ in EXCEPTIONAL.values()}
+#: Lookups for the exceptional atoms: ``rootsys.EXCEPTIONAL_TYPES`` as (lower-case
+#: letter, rank); every form label of ``satake.EXCEPTIONAL`` ("c" for a complex
+#: algebra viewed as real); and each lower-case family label ("e6_iv") to its family.
+_EXCEPTIONAL_TYPES = {(letter.lower(), rank) for letter, rank in EXCEPTIONAL_TYPES}
 _FORM_LABELS = {family.partition("_")[2].lower() for family in EXCEPTIONAL} | {"c"}
 _EXCEPTIONAL_FAMILY = {family.lower(): family for family in EXCEPTIONAL}
 #: Longest integer literal, and longest argument value, accepted: Python's
@@ -320,6 +320,8 @@ class _Parser:
         if n == 0:
             raise ParseError("sl(0,...) is not an algebra", pos)
         if field == "h":  # quaternionic: sl(n,H) = su*(2n)
+            if 2 * n >= _ARGUMENT_BOUND:
+                raise ParseError(f"argument value longer than {_MAX_INT_DIGITS} digits", pos)
             self._contrib_su_star(2 * n, None, None, pos)
         elif n >= 2:
             family, rank = ("sl_R", n) if field == "r" else ("complex_A", n - 1)
@@ -471,6 +473,8 @@ class _Parser:
             self._atom()
         if not self.factors and not self.compact_center and not self.split_center:
             raise ParseError("expression denotes the zero algebra", 0)
+        if self.compact_center >= _ARGUMENT_BOUND or self.split_center >= _ARGUMENT_BOUND:
+            raise ParseError(f"center dimension longer than {_MAX_INT_DIGITS} digits", 0)
         return ReductiveAlgebra(tuple(self.factors), self.compact_center, self.split_center)
 
 

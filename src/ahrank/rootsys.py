@@ -1,13 +1,14 @@
 """Simple complex Lie algebra types, in exact integer arithmetic.
 
-Diagram bonds (the nonzero off-diagonal Cartan matrix entries), the list of
-types up to a rank bound with each isomorphism class once, and the one
-closed form of the diagram involution induced by -w0 (the negated longest
-Weyl element): the run of nodes it reverses in place.
+Diagram bonds (the nonzero off-diagonal Cartan matrix entries), the five
+exceptional types (``EXCEPTIONAL_TYPES``), the list of types up to a rank
+bound with each isomorphism class once, and the one closed form of the
+diagram involution induced by -w0 (the negated longest Weyl element): the
+run of nodes it reverses in place.
 The root enumeration and Weyl group searches that check ``iota`` are test
 oracles in ``tests/conftest.py``.
-``Record``, the base of the package's value records, lives here, at the
-bottom of the package's imports.
+``Record``, the base of the package's value records and of their JSON
+form, lives here, at the bottom of the package's imports.
 
 Node numbering
 --------------
@@ -32,9 +33,12 @@ Weight vectors are serialized in this node order throughout the package.
 
 from __future__ import annotations
 
+import enum
 from operator import attrgetter
 
 SERIES = "ABCDEFG"
+#: The exceptional types as (series letter, rank).
+EXCEPTIONAL_TYPES = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 
 
 class Record:
@@ -69,6 +73,19 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
+    def to_dict(self) -> dict:
+        """The fields by name, records converted recursively, enums as their
+        ``.value`` and tuples as lists: the JSON form of the result records."""
+        return {name: _plain(getattr(self, name)) for name in self.__slots__}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value.value if isinstance(value, enum.Enum) else value
+
 
 class LieType(Record):
     """A simple complex type: series letter A-G plus rank.
@@ -87,12 +104,9 @@ class LieType(Record):
             raise ValueError(f"rank must be >= 1, got {rank}")
         if letter == "D" and rank < 2:
             raise ValueError("type D requires rank >= 2")
-        if letter == "E" and rank not in (6, 7, 8):
-            raise ValueError("type E requires rank in {6, 7, 8}")
-        if letter == "F" and rank != 4:
-            raise ValueError("type F requires rank 4")
-        if letter == "G" and rank != 2:
-            raise ValueError("type G requires rank 2")
+        if letter in "EFG" and (letter, rank) not in EXCEPTIONAL_TYPES:
+            names = ", ".join(f"{e}{r}" for e, r in EXCEPTIONAL_TYPES)
+            raise ValueError(f"no exceptional type {letter}{rank}; expected one of {names}")
         object.__setattr__(self, "letter", letter)
         object.__setattr__(self, "rank", rank)
 
@@ -134,17 +148,13 @@ def _edges(t: LieType) -> tuple[tuple[int, int, int, int], ...]:
 def canonical_types(rank_bound: int) -> list[LieType]:
     """Every simple type up to the rank bound, once per isomorphism class:
     A >= 1, B >= 2, C >= 3, D >= 4 (lower ranks duplicate earlier series),
-    then E6, E7, E8, F4 and G2."""
+    then the ``EXCEPTIONAL_TYPES``."""
     types = [
         LieType(letter, rank)
         for letter, least in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
         for rank in range(least, rank_bound + 1)
     ]
-    types += [
-        LieType(letter, rank)
-        for letter, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
-        if rank <= rank_bound
-    ]
+    types += [LieType(letter, rank) for letter, rank in EXCEPTIONAL_TYPES if rank <= rank_bound]
     return types
 
 

@@ -244,15 +244,20 @@ _PARAMETER_COUNTS = ("no parameters", "one parameter", "two parameters")
 MAX_PARAMETER = 100_000
 
 
+def _family_row(family: str) -> tuple:
+    """The ``FAMILIES`` row of a label; any other label is a domain error."""
+    row = FAMILIES.get(family)
+    if row is None:
+        raise InvalidRealFormError(f"unknown real-form family {family!r}")
+    return row
+
+
 def satake_of(spec: RealFormSpec) -> SatakeDiagram:
     """Satake diagram of a real form, built by its family's constructor."""
     family, params = spec.family, spec.params
     if params and max(params) > MAX_PARAMETER:
         raise InvalidRealFormError(f"real-form parameter {max(params)} is above the bound {MAX_PARAMETER}")
-    row = FAMILIES.get(family)
-    if row is None:
-        raise InvalidRealFormError(f"unknown real-form family {family!r}")
-    count, build, _ = row
+    count, build, _ = _family_row(family)
     _require(len(params) == count, f"{family} takes {_PARAMETER_COUNTS[count]}, got {params}")
     return build(*params)
 
@@ -301,9 +306,11 @@ _COINCIDENCES: dict[RealFormSpec, tuple[RealFormSpec, ...]] = {
 
 def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
     """One product of specs per isomorphism class: two parameters ascending,
-    then the ``_COINCIDENCES`` image; every result has a canonical type."""
+    then the ``_COINCIDENCES`` image; every result has a canonical type.
+    A label outside ``FAMILIES`` is a domain error."""
     family, params = spec.family, spec.params
-    if len(params) == 2 and params[0] > params[1] and FAMILIES.get(family, (0,))[0] == 2:
+    count = _family_row(family)[0]
+    if len(params) == 2 and params[0] > params[1] and count == 2:
         spec = RealFormSpec(family, params[::-1])
     return _COINCIDENCES.get(spec, (spec,))
 
@@ -355,16 +362,6 @@ def export(d: SatakeDiagram) -> dict:
 # ---------------------------------------------------------------------------
 # ASCII rendering
 
-def _chain_layout(t: LieType) -> tuple[list[int], tuple[int, int] | None]:
-    """Chain node order plus optional (attach position in chain, branch node)."""
-    n = t.rank
-    if t.letter == "D" and n >= 3:
-        return list(range(1, n)), (n - 2, n)
-    if t.letter == "E":
-        return list(range(1, n)), (3, n)
-    return list(range(1, n + 1)), None
-
-
 def _bond(aij: int, aji: int) -> str:
     if aij == 0:
         return "    "
@@ -376,9 +373,10 @@ def _bond(aij: int, aji: int) -> str:
 
 
 def _component_lines(d: SatakeDiagram, offset: int) -> list[str]:
-    t = d.lie_type
-    bonds = {(i, j): (aij, aji) for i, j, aij, aji in _edges(t)}
-    chain, branch = _chain_layout(t)
+    bonds = {(i, j): (aij, aji) for i, j, aij, aji in _edges(d.lie_type)}
+    # the one bond off the chain, D_n's (n-2, n) or E_n's (3, n): node n hangs below
+    branch = next((bond for bond in bonds if bond[1] != bond[0] + 1), None)
+    chain = range(1, d.lie_type.rank + (branch is None))
 
     def marker(node: int) -> str:
         return "*" if offset + node in d.black else "o"
@@ -394,7 +392,7 @@ def _component_lines(d: SatakeDiagram, offset: int) -> list[str]:
     lines = [row, labels]
     if branch is not None:
         attach, node = branch
-        column = 5 * (chain.index(attach))
+        column = 5 * (attach - 1)
         lines.append(" " * column + "|")
         lines.append(" " * column + marker(node) + " " + str(offset + node))
     return lines

@@ -174,6 +174,22 @@ def test_argument_value_past_the_int_string_limit_exit_2(capsys, text, position)
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("T^{0} x T^{0}", "center dimension"),
+        ("T^{0} x u(1)", "center dimension"),
+        ("R^{0} x so(1,1)", "center dimension"),
+        ("sl({0},H)", "argument value"),
+    ],
+)
+def test_sum_past_the_int_string_limit_exit_2(capsys, text, message):
+    # each argument is within the limit; the center sum, or sl(n,H)'s 2n, is not
+    code, out, err = run(capsys, "rank", text.format("9" * 4300))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message} longer than 4300 digits (position 0)\n"
+
+
 def test_argument_value_of_4300_digits_is_accepted(capsys):
     nines = "9" * 4300
     code, out, _err = run(capsys, "rank", f"T^{nines}")

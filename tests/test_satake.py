@@ -9,6 +9,7 @@ import time
 import pytest
 from conftest import _automorphisms, cartan_matrix, is_cartan_automorphism, isomorphic_diagrams, validate
 
+from ahrank.cones import ReductiveAlgebra
 from ahrank.rootsys import SERIES, LieType, canonical_types
 from ahrank.satake import (
     _COINCIDENCES,
@@ -259,6 +260,16 @@ def test_export_schema_and_determinism():
 def test_domain_errors(spec):
     with pytest.raises(InvalidRealFormError):
         satake_of(spec)
+
+
+@pytest.mark.parametrize("family", ["nonsense", "compact_", "compact_AB", "complex_DE"])
+def test_unknown_family_is_rejected_when_the_algebra_is_built(family):
+    # canonical looks the label up, so no algebra exists for render to name
+    message = f"unknown real-form family '{family}'"
+    with pytest.raises(InvalidRealFormError, match=message):
+        canonical(RealFormSpec(family, (3, 2)))
+    with pytest.raises(InvalidRealFormError, match=message):
+        ReductiveAlgebra((RealFormSpec(family, (3,)),))
 
 
 def test_family_table_has_no_dead_row():
