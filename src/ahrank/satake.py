@@ -28,6 +28,7 @@ n+1..2n, with arrows (i, n+i).
 from __future__ import annotations
 
 from functools import partial
+from typing import NoReturn
 
 from .rootsys import LieType, Record, _edges
 
@@ -244,12 +245,10 @@ _PARAMETER_COUNTS = ("no parameters", "one parameter", "two parameters")
 MAX_PARAMETER = 100_000
 
 
-def _family_row(family: str) -> tuple:
-    """The ``FAMILIES`` row of a label; any other label is a domain error."""
-    row = FAMILIES.get(family)
-    if row is None:
-        raise InvalidRealFormError(f"unknown real-form family {family!r}")
-    return row
+def _unknown_family(family: str) -> NoReturn:
+    """Raise for a label outside ``FAMILIES``, whose rows are never empty:
+    ``FAMILIES.get(family) or _unknown_family(family)`` is the row."""
+    raise InvalidRealFormError(f"unknown real-form family {family!r}")
 
 
 def satake_of(spec: RealFormSpec) -> SatakeDiagram:
@@ -257,7 +256,7 @@ def satake_of(spec: RealFormSpec) -> SatakeDiagram:
     family, params = spec.family, spec.params
     if params and max(params) > MAX_PARAMETER:
         raise InvalidRealFormError(f"real-form parameter {max(params)} is above the bound {MAX_PARAMETER}")
-    count, build, _ = _family_row(family)
+    count, build, _ = FAMILIES.get(family) or _unknown_family(family)
     _require(len(params) == count, f"{family} takes {_PARAMETER_COUNTS[count]}, got {params}")
     return build(*params)
 
@@ -309,7 +308,7 @@ def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
     then the ``_COINCIDENCES`` image; every result has a canonical type.
     A label outside ``FAMILIES`` is a domain error."""
     family, params = spec.family, spec.params
-    count = _family_row(family)[0]
+    count = (FAMILIES.get(family) or _unknown_family(family))[0]
     if len(params) == 2 and params[0] > params[1] and count == 2:
         spec = RealFormSpec(family, params[::-1])
     return _COINCIDENCES.get(spec, (spec,))
