@@ -18,9 +18,9 @@ from types import ModuleType
 import pytest
 
 import ahrank
-from ahrank import cli, cones
+from ahrank import catalog, cli, cones
 from ahrank.cli import _params_arg, build_parser, main
-from ahrank.satake import satake_of
+from ahrank.satake import RealFormSpec, satake_of
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -241,6 +241,42 @@ def test_anomaly_scan_matches(capsys):
     assert code == 0
     assert payload["matches_rank_table"] is True
     assert "sl_R(4)" in payload["anomalies"]
+
+
+# The failure half of the verifiers: each test plants one wrong expectation
+# in the catalog, and the command must report it and exit 1.
+
+
+def test_table1_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "TABLE1_EXCEPTIONAL", (("e6(I)", RealFormSpec("e6_I"), (3, 6)),))
+    code, out, _ = run(capsys, "table1", "--kmax", "2")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["FAIL ('rank table, e6(I)', (), (4, 6), (3, 6))", "FAIL"]
+    code, payload = run_json(capsys, "table1", "--kmax", "2")
+    assert code == 1
+    assert payload["passed"] is False
+    assert payload["failures"] == [["rank table, e6(I)", [], [4, 6], [3, 6]]]
+
+
+def test_table2_failure_exits_1(capsys, monkeypatch):
+    probe = catalog.FamilyRow("probe row", "sl(3,R)", "so(2,1)", expected="Undetermined")
+    monkeypatch.setattr(catalog, "TABLE2", (probe,))
+    code, out, _ = run(capsys, "table2", "--bound", "2")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["FAIL ('probe row', (), 'NoNonVirtuallyAbelian', 'Undetermined')", "FAIL"]
+    code, payload = run_json(capsys, "table2", "--bound", "2")
+    assert code == 1
+    assert payload["passed"] is False
+
+
+def test_anomaly_scan_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "table1_predicted_anomalies", lambda rank_bound: ())
+    code, out, _ = run(capsys, "anomaly-scan", "--rank", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == "MISMATCH with the rank table"
+    code, payload = run_json(capsys, "anomaly-scan", "--rank", "5")
+    assert code == 1
+    assert payload["matches_rank_table"] is False
 
 
 def test_stripped_warning_shown(capsys):
