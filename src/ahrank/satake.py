@@ -354,7 +354,7 @@ def export(d: SatakeDiagram) -> dict:
         "components": d.components,
         "black": sorted(d.black),
         "arrows": sorted([i, j] for i, j in d.arrows),
-        "numbering": "bourbaki",
+        "numbering": "chain-first" if d.lie_type.letter == "E" else "bourbaki",
     }
 
 

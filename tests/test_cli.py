@@ -105,7 +105,7 @@ def test_satake_show_json_schema(capsys):
     code, payload = run_json(capsys, "satake-show", "e6(IV)")
     assert code == 0
     assert payload["black"] == [2, 3, 4, 6]
-    assert payload["numbering"] == "bourbaki"
+    assert payload["numbering"] == "chain-first"
     assert payload["real_rank"] == 2
     assert payload["a_hyperbolic_rank"] == 1
 

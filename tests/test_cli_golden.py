@@ -96,7 +96,7 @@ GOLDEN = {
     "embed-check": "256a2813dd7fd0a8e40ce5ddb0b8aaecfeecc7c87b357cbcc247f21936db6bca",
     "orbits": "91d56d4b4059ae3e46353d7d0a03dae0393aa6e7f2e8561f2734223b2fcda0d7",
     "rank": "328ef07ea2637f0c1221ccd8f7cf2cef652e990ff2c980f6250cb491a812a50c",
-    "satake-show": "02e99125cd4b416d67a518f42ad7307e7ada675dc198eaa71bc46600983463b6",
+    "satake-show": "b5042e5f37695ad27d1d904676d2f3795cac297f2bc450fd4d7cbadea3a9fe26",
     "table1": "1f5510dbbeafdcc18597d9689d1bf2848fc2c54010cda2799eeaed2c5ff2dc38",
     "table2": "a6057c882b6f95558015779b1bad54f42ef5818a5272df996837e4d7ba88a3ab",
 }
