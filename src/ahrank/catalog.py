@@ -13,7 +13,7 @@ Two datasets ship with the package:
   SO(2k+1,2k+1)/(U(1,1) x SO(2k-1,2k-1)), is stored separately and is
   expected to come out Undetermined.
 
-Rows are data, one record per source row, so that questionable entries can
+Rows are data, one entry per source row, so that questionable entries can
 be annotated without touching code.  A few constraint footnotes in the
 source tabulation are provably inconsistent with the table's own defining
 property (they admit instances with equal real ranks, where the
@@ -40,51 +40,37 @@ from .satake import RealFormSpec, real_forms, satake_of
 # ---------------------------------------------------------------------------
 # Table 1: real forms with a-hyperbolic rank below the real rank
 
-class RankTableRow(Record):
-    __slots__ = ("source", "label", "spec_of", "expected", "k_min")
-
-    def __init__(
-        self,
-        source: str,
-        label: str,
-        spec_of: Callable[[int], RealFormSpec],
-        expected: Callable[[int], tuple[int, int]],  # (a-hyperbolic, real)
-        k_min: int = 1,
-    ) -> None:
-        Record.__init__(self, source, label, spec_of, expected, k_min)
-
-
-TABLE1_FAMILIES: tuple[RankTableRow, ...] = (
-    RankTableRow(
+#: The families: (source, spec of k, (a-hyperbolic rank, real rank) of k, least k).
+TABLE1_FAMILIES: tuple[tuple[str, Callable, Callable, int], ...] = (
+    (
         "rank table, row 1",
-        "sl(2k,R)",
         lambda k: RealFormSpec("sl_R", (2 * k,)),
         lambda k: (k, 2 * k - 1),
+        1,
     ),
-    RankTableRow(
+    (
         "rank table, row 2",
-        "sl(2k+1,R)",
         lambda k: RealFormSpec("sl_R", (2 * k + 1,)),
         lambda k: (k, 2 * k),
+        1,
     ),
-    RankTableRow(
+    (
         "rank table, row 3",
-        "su*(4k)",
         lambda k: RealFormSpec("su_star", (4 * k,)),
         lambda k: (k, 2 * k - 1),
+        1,
     ),
-    RankTableRow(
+    (
         "rank table, row 4",
-        "su*(4k+2)",
         lambda k: RealFormSpec("su_star", (4 * k + 2,)),
         lambda k: (k, 2 * k),
+        1,
     ),
-    RankTableRow(
+    (
         "rank table, row 5",
-        "so(2k+1,2k+1)",
         lambda k: RealFormSpec("so_pq", (2 * k + 1, 2 * k + 1)),
         lambda k: (2 * k, 2 * k + 1),
-        k_min=2,
+        2,
     ),
 )
 
@@ -110,9 +96,9 @@ def _table1(k_max: int) -> Iterator[tuple[str, tuple[int, ...], RealFormSpec, tu
     """Every Table 1 instance with k up to k_max, as (source, parameters,
     spec, (a-hyperbolic rank, real rank)): the families, then the
     exceptional rows."""
-    for row in TABLE1_FAMILIES:
-        for k in range(row.k_min, k_max + 1):
-            yield row.source, (k,), row.spec_of(k), row.expected(k)
+    for source, spec_of, expected, k_min in TABLE1_FAMILIES:
+        for k in range(k_min, k_max + 1):
+            yield source, (k,), spec_of(k), expected(k)
     for label, spec, want in TABLE1_EXCEPTIONAL:
         yield f"rank table, {label}", (), spec, want
 
@@ -382,7 +368,7 @@ def _instances(row: FamilyRow, bound: int) -> Iterator[dict[str, int]]:
         yield {}
         return
     for values in itertools.product(range(bound + 1), repeat=len(row.param_names)):
-        if row.domain is None or row.domain(*values):
+        if row.domain(*values):
             yield dict(zip(row.param_names, values))
 
 

@@ -47,9 +47,9 @@ def _params_arg(text: str) -> dict[str, int]:
     return env
 
 
-def _rank_payload(expression: str, record, profile) -> dict:
+def _rank_payload(record, profile) -> dict:
     return {
-        "expression": expression,
+        "expression": record.source,
         "canonical": render(record.algebra),
         **profile.to_dict(),
         "discarded": list(record.discarded),
@@ -69,7 +69,7 @@ def _warn_discarded(discarded: list[str]) -> str:
 
 def _cmd_rank(args) -> int:
     record = parse_expression(args.expr, args.params)
-    payload = _rank_payload(args.expr, record, rank_profile(record.algebra))
+    payload = _rank_payload(record, rank_profile(record.algebra))
     text = (
         f"algebra:           {payload['canonical']}{_warn_discarded(payload['discarded'])}\n"
         f"real rank:         {payload['real_rank']}\n"
@@ -86,8 +86,8 @@ def _profile_pair(args) -> tuple:
     records = parse_expression(args.g, args.params), parse_expression(args.h, args.params)
     profiles = [rank_profile(record.algebra) for record in records]
     payload = {
-        key: _rank_payload(text, record, profile)
-        for key, text, record, profile in zip("gh", (args.g, args.h), records, profiles)
+        key: _rank_payload(record, profile)
+        for key, record, profile in zip("gh", records, profiles)
     }
     return *profiles, payload
 
@@ -260,7 +260,3 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout closed early; the exit flush then goes to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -93,10 +93,6 @@ class Obstruction(Record):
 
     __slots__ = ("obstructed", "witnesses")
 
-    def __init__(self, obstructed: bool, witnesses: tuple[str, ...]) -> None:
-        object.__setattr__(self, "obstructed", obstructed)
-        object.__setattr__(self, "witnesses", witnesses)
-
 
 def embed_obstruction(g: RankProfile, h: RankProfile) -> Obstruction:
     """h can sit inside g as a closed reductive subgroup only if neither of

@@ -117,10 +117,9 @@ def _so_pq(p: int, q: int) -> SatakeDiagram:
     total = p + q
     _require(total >= 3, f"so(p,q) requires p + q >= 3, got {total}")
     low = min(p, q)
-    if total % 2:
-        m = total // 2
-        return SatakeDiagram(LieType("B", m), black=frozenset(range(low + 1, m + 1)))
     m = total // 2
+    if total % 2:
+        return SatakeDiagram(LieType("B", m), black=frozenset(range(low + 1, m + 1)))
     if low == m:
         return SatakeDiagram(LieType("D", m))
     if low == m - 1:
