@@ -259,6 +259,10 @@ def test_every_family_row_round_trips():
         ("sl 3,R)", "expected '(' after sl", 3),
         ("g2(I", "expected ')' closing the form of g2", 4),
         ("S(U(2)", "expected ')' closing S(...)", 6),
+        ("T^-1", "torus dimension must be nonnegative", 0),
+        ("R^-2", "split-abelian dimension must be nonnegative", 0),
+        ("sl(0,R)", "sl(0,...) is not an algebra", 0),
+        ("so*(3)", "so* takes an even argument, got 3", 0),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):
