@@ -46,10 +46,6 @@ class NodePartition(Record):
     def free_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c, f in zip(self.classes, self.forced) if not f)
 
-    @property
-    def free_count(self) -> int:
-        return self.forced.count(False)
-
 
 def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> Iterator[list[int]]:
     """Orbits of the nodes under the arrow involution and ``sigma`` (a
