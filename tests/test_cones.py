@@ -349,6 +349,9 @@ def hand_built_diagrams(draw) -> SatakeDiagram:
 @given(hand_built_diagrams())
 def test_count_equals_listed_free_classes_on_hand_built_diagrams(d):
     assert a_hyperbolic_rank(d) == free_count(antipodal_classes(d))
+    arrows = sorted(d.arrows)
+    assert antipodal_classes(d) == union_find_partition(d, arrows + iota_pairs(d))
+    assert matching_classes(d) == union_find_partition(d, arrows)
 
 
 def _image_calls(monkeypatch) -> list[SatakeDiagram]:
