@@ -29,7 +29,7 @@ a split abelian center adds to the real rank only.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import eq
 
@@ -37,25 +37,16 @@ from .rootsys import Record, iota_run
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
-class NodePartition(Record):
-    """Partition of diagram nodes; a class is forced to weight zero exactly
-    when it contains a black node.  Classes are sorted by least node."""
-
-    __slots__ = ("classes", "forced")
-
-    def free_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c for c, f in zip(self.classes, self.forced) if not f)
-
-
-def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> Iterator[list[int]]:
-    """Orbits of the nodes under the arrow involution and ``sigma`` (a
-    1-based node image array), found by one walk in increasing node order,
-    so each class starts at its least node.  Each class is yielded as an
-    unsorted list: counting needs no more."""
+def _free_classes(d: SatakeDiagram, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The node classes under the arrow involution and ``sigma`` (a 1-based
+    node image array) that hold no black node, each sorted, by least node.
+    One walk in increasing node order finds them, so each class starts at
+    its least node."""
     arrow = list(range(d.node_count + 1))
     for i, j in d.arrows:
         arrow[i], arrow[j] = j, i
     seen = [False] * len(arrow)
+    black, free = d.black, []
     for node in d.nodes():
         if seen[node]:
             continue
@@ -70,19 +61,15 @@ def _orbits(d: SatakeDiagram, sigma: Sequence[int]) -> Iterator[list[int]]:
             if not seen[image]:
                 seen[image] = True
                 cls.append(image)
-        yield cls
+        if black.isdisjoint(cls):
+            free.append(tuple(sorted(cls)))
+    return tuple(free)
 
 
-def _partition(d: SatakeDiagram, sigma: Sequence[int]) -> NodePartition:
-    classes = tuple(tuple(sorted(cls)) for cls in _orbits(d, sigma))
-    black = d.black
-    return NodePartition(classes, tuple(not black.isdisjoint(cls) for cls in classes))
-
-
-def matching_classes(d: SatakeDiagram) -> NodePartition:
-    """Arrow-orbit classes; the free ones index a basis of the matching cone,
-    so the free count equals the real rank."""
-    return _partition(d, range(d.node_count + 1))
+def matching_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
+    """Free arrow-orbit classes; they index a basis of the matching cone,
+    so they number the real rank."""
+    return _free_classes(d, range(d.node_count + 1))
 
 
 def _iota_image(d: SatakeDiagram, run: range) -> list[int]:
@@ -96,10 +83,10 @@ def _iota_image(d: SatakeDiagram, run: range) -> list[int]:
     return image + [n + j for j in image[1:]]
 
 
-def antipodal_classes(d: SatakeDiagram) -> NodePartition:
-    """Classes generated jointly by the arrows and the longest-element
+def antipodal_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
+    """Free classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _partition(d, _iota_image(d, iota_run(d.lie_type)))
+    return _free_classes(d, _iota_image(d, iota_run(d.lie_type)))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
@@ -134,7 +121,7 @@ def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
     if not (black.issuperset(black_images) and (
         reversed_arrows == len(arrows) or arrows.union(zip(rights, lefts)).issuperset(arrow_images)
     )):
-        return sum(map(black.isdisjoint, _orbits(d, image)))
+        return len(_free_classes(d, image))
     # the fixed white nodes, less one per arrow fixed pointwise (one fixed
     # class for its two fixed nodes), plus one per arrow reversed
     fixed -= sum(map(eq, black_images, black))
@@ -147,7 +134,7 @@ def b_plus_generators(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     per free antipodal class, ordered by least node index."""
     return tuple(
         tuple(int(node in cls) for node in d.nodes())
-        for cls in antipodal_classes(d).free_classes()
+        for cls in antipodal_classes(d)
     )
 
 

@@ -3,8 +3,7 @@ the engine's combinatorics that the package itself does not need: Cartan
 matrices built from the diagram bonds, a diagram validator checking
 black nodes and arrows against the diagram automorphisms, an exact
 linear-algebra rank oracle with cone membership tests for weight tuples,
-a union-find node-class oracle, the free class count of a partition, root
-enumeration and a Weyl brute force for -w0 up to rank 5, a Weyl-descent
+a union-find node-class oracle, root enumeration and a Weyl brute force for -w0 up to rank 5, a Weyl-descent
 oracle for -w0, both ranks from the restricted root system, the anomaly
 scan over every real form of every type, a permutation search deciding
 whether two products of Satake diagrams are isomorphic, a
@@ -21,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 from ahrank.catalog import FamilyRow
-from ahrank.cones import NodePartition, ReductiveAlgebra, factor_profile, rank_profile
+from ahrank.cones import ReductiveAlgebra, factor_profile, rank_profile
 from ahrank.decision import Verdict, decide
 from ahrank.notation import _MAX_INT_DIGITS, ParseError, parse
 from ahrank.rootsys import LieType, Record, _edges, canonical_types, iota
@@ -206,10 +205,9 @@ def iota_fixed(w: tuple[int, ...], d: SatakeDiagram) -> bool:
 # ---------------------------------------------------------------------------
 # union-find node-class oracle
 
-def union_find_partition(d: SatakeDiagram, pairs) -> NodePartition:
-    """Classes of the equivalence generated by ``pairs``, by a plain
-    union-find, sorted by least node; a class is forced when it holds a
-    black node."""
+def union_find_partition(d: SatakeDiagram, pairs) -> tuple[tuple[int, ...], ...]:
+    """Classes of the equivalence generated by ``pairs`` that hold no black
+    node, by a plain union-find, each sorted, by least node."""
     parent = list(range(d.node_count + 1))
 
     def find(node: int) -> int:
@@ -223,13 +221,7 @@ def union_find_partition(d: SatakeDiagram, pairs) -> NodePartition:
     for node in d.nodes():
         groups.setdefault(find(node), []).append(node)
     classes = sorted((tuple(sorted(nodes)) for nodes in groups.values()), key=min)
-    forced = tuple(any(node in d.black for node in cls) for cls in classes)
-    return NodePartition(tuple(classes), forced)
-
-
-def free_count(part: NodePartition) -> int:
-    """The number of classes of ``part`` with no black node."""
-    return part.forced.count(False)
+    return tuple(cls for cls in classes if d.black.isdisjoint(cls))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from conftest import (
     antipodal_equations,
     database_specs,
-    free_count,
     iota_fixed,
     iota_pairs,
     matches,
@@ -47,42 +46,32 @@ from ahrank.satake import (
 
 def test_matching_classes_split():
     d = satake_of(RealFormSpec("sl_R", (6,)))  # split A5
-    part = matching_classes(d)
-    assert part.free_classes() == ((1,), (2,), (3,), (4,), (5,))
-    assert part.forced == (False,) * 5
+    assert matching_classes(d) == ((1,), (2,), (3,), (4,), (5,))
 
 
 def test_matching_classes_e6_iv():
-    part = matching_classes(satake_of(RealFormSpec("e6_IV")))
-    assert part.free_classes() == ((1,), (5,))
-    forced = [node for cls, f in zip(part.classes, part.forced) if f for node in cls]
-    assert sorted(forced) == [2, 3, 4, 6]
+    assert matching_classes(satake_of(RealFormSpec("e6_IV"))) == ((1,), (5,))
 
 
 def test_matching_classes_su12():
-    part = matching_classes(satake_of(RealFormSpec("su_pq", (1, 2))))
-    assert part.free_classes() == ((1, 2),)
+    assert matching_classes(satake_of(RealFormSpec("su_pq", (1, 2)))) == ((1, 2),)
 
 
 def test_matching_free_count_is_real_rank(database):
     for spec, diagram in database:
-        assert free_count(matching_classes(diagram)) == real_rank(diagram), spec
+        assert len(matching_classes(diagram)) == real_rank(diagram), spec
 
 
 def test_antipodal_classes_e6_iv():
-    part = antipodal_classes(satake_of(RealFormSpec("e6_IV")))
-    assert part.free_classes() == ((1, 5),)
+    assert antipodal_classes(satake_of(RealFormSpec("e6_IV"))) == ((1, 5),)
 
 
 def test_antipodal_classes_split_d5():
-    part = antipodal_classes(satake_of(RealFormSpec("so_pq", (5, 5))))
-    assert part.free_classes() == ((1,), (2,), (3,), (4, 5))
+    assert antipodal_classes(satake_of(RealFormSpec("so_pq", (5, 5)))) == ((1,), (2,), (3,), (4, 5))
 
 
 def test_antipodal_classes_compact():
-    part = antipodal_classes(satake_of(RealFormSpec("compact_E", (6,))))
-    assert free_count(part) == 0
-    assert all(part.forced)
+    assert antipodal_classes(satake_of(RealFormSpec("compact_E", (6,)))) == ()
 
 
 def test_a_hyperbolic_rank_examples():
@@ -169,7 +158,7 @@ def test_count_only_rank_equals_listed_free_classes():
         for black in itertools.combinations(range(1, 6), size)
     ]
     for d in diagrams:
-        assert a_hyperbolic_rank(d) == free_count(antipodal_classes(d)), d
+        assert a_hyperbolic_rank(d) == len(antipodal_classes(d)), d
 
 
 def _preconditions(d: SatakeDiagram) -> tuple[bool, bool]:
@@ -193,13 +182,13 @@ def _preconditions(d: SatakeDiagram) -> tuple[bool, bool]:
 def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
     """Record each diagram that the class walk is started on."""
     calls = []
-    walk = cones._orbits
+    walk = cones._free_classes
 
     def recorded(d, sigma):
         calls.append(d)
         return walk(d, sigma)
 
-    monkeypatch.setattr(cones, "_orbits", recorded)
+    monkeypatch.setattr(cones, "_free_classes", recorded)
     return calls
 
 
@@ -246,7 +235,7 @@ def test_rank_falls_back_to_the_walk_outside_the_preconditions(monkeypatch):
     assert (False, False) not in kept.values()
     walked = _walk_calls(monkeypatch)
     for d in diagrams:
-        assert a_hyperbolic_rank(d) == free_count(antipodal_classes(d)), d
+        assert a_hyperbolic_rank(d) == len(antipodal_classes(d)), d
     # one walk per listing, and one per rank outside the preconditions
     assert len(walked) == len(diagrams) + sum(k != (True, True) for k in kept.values())
 
@@ -348,7 +337,7 @@ def hand_built_diagrams(draw) -> SatakeDiagram:
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(hand_built_diagrams())
 def test_count_equals_listed_free_classes_on_hand_built_diagrams(d):
-    assert a_hyperbolic_rank(d) == free_count(antipodal_classes(d))
+    assert a_hyperbolic_rank(d) == len(antipodal_classes(d))
     arrows = sorted(d.arrows)
     assert antipodal_classes(d) == union_find_partition(d, arrows + iota_pairs(d))
     assert matching_classes(d) == union_find_partition(d, arrows)
@@ -374,7 +363,7 @@ def test_reversed_arrows_are_counted_with_no_walk(monkeypatch):
     walked = _walk_calls(monkeypatch)
     assert a_hyperbolic_rank(d) == 3
     assert walked == []
-    assert free_count(antipodal_classes(d)) == 3
+    assert len(antipodal_classes(d)) == 3
 
 
 def test_an_arrow_not_reversed_is_walked(monkeypatch):
@@ -384,7 +373,7 @@ def test_an_arrow_not_reversed_is_walked(monkeypatch):
     walked = _walk_calls(monkeypatch)
     assert a_hyperbolic_rank(d) == 2
     assert walked == [d]
-    assert free_count(antipodal_classes(d)) == 2
+    assert len(antipodal_classes(d)) == 2
 
 
 def test_no_black_node_and_no_arrow_builds_no_image(monkeypatch):
@@ -403,4 +392,4 @@ def test_no_black_node_and_no_arrow_builds_no_image(monkeypatch):
         assert a_hyperbolic_rank(d) == rank, d
     assert (walked, built) == ([], [])
     for d, rank in diagrams.items():
-        assert free_count(antipodal_classes(d)) == rank, d
+        assert len(antipodal_classes(d)) == rank, d

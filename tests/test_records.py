@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from ahrank.cones import NodePartition, RankProfile, ReductiveAlgebra
+from ahrank.cones import RankProfile, ReductiveAlgebra
 from ahrank.decision import Decision, Obstruction, TraceStep, Verdict
 from ahrank.notation import AlgebraExpression
 from ahrank.rootsys import LieType
@@ -26,7 +26,6 @@ SAMPLES = [
         ("lie_type", "black", "arrows", "components"),
         (LieType("A", 3), frozenset({2}), frozenset({(1, 3)}), 1),
     ),
-    (NodePartition, ("classes", "forced"), (((1, 3), (2,)), (False, True))),
     (RankProfile, ("real_rank", "a_hyperbolic_rank"), (3, 1)),
     (ReductiveAlgebra, ("simple_factors", "compact_center_dim", "split_center_dim"), ((_SL3,), 1, 2)),
     (TraceStep, ("condition", "lhs", "op", "rhs", "holds"), ("A", 2, "==", 2, True)),
