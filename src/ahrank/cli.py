@@ -40,8 +40,11 @@ def _params_arg(text: str) -> dict[str, int]:
             raise argparse.ArgumentTypeError(
                 f"bad --params entry {piece!r}; expected name=value"
             )
+        name = name.strip().lower()
+        if name in env:
+            raise argparse.ArgumentTypeError(f"repeated --params name {name!r}")
         try:
-            env[name.strip().lower()] = int(value)
+            env[name] = int(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad integer in --params: {value!r}") from exc
     return env

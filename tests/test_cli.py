@@ -124,6 +124,14 @@ def test_params_substitution(capsys):
     assert payload["a_hyperbolic_rank"] == 4
 
 
+@pytest.mark.parametrize("params", ["k=1,k=2", "k=1,K=2"])
+def test_repeated_params_name_is_a_usage_error(capsys, params):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "sl(3,R)", "--params", params])
+    assert exc.value.code == 2
+    assert "repeated --params name 'k'" in capsys.readouterr().err
+
+
 def test_parse_error_exit_2(capsys):
     code, _out, err = run(capsys, "rank", "gl(3,R)")
     assert code == 2
