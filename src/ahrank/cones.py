@@ -91,15 +91,10 @@ def antipodal_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     """Dimension of the involution-fixed subcone: the number of free
-    antipodal classes.  Where the involution's reversed run is empty it is
-    the identity, these are the matching classes, and this is the real rank.
-    Otherwise, when the involution maps ``d.black`` onto itself and every
-    arrow onto an arrow, it permutes the white arrow classes, and the count
-    is (real rank + F) / 2 with F the classes it fixes: the unpaired white
-    nodes it fixes, and the arrows (i, j) whose i it sends to i or j.  No
-    node image is built without black nodes or arrows; arrows reversed in
-    place need no set search.  Like ``real_rank``, this takes arrows to join
-    white nodes.  Any other diagram is counted by walking its classes."""
+    antipodal classes, counted as the module docstring says.  Like
+    ``real_rank``, this takes arrows to join white nodes.  The classes are
+    walked only when the involution does not map the black nodes onto
+    themselves and every arrow onto an arrow."""
     return _a_hyperbolic_count(d, real_rank(d))
 
 
