@@ -3,12 +3,13 @@ the engine's combinatorics that the package itself does not need: Cartan
 matrices built from the diagram bonds, a diagram validator checking
 black nodes and arrows against the diagram automorphisms, an exact
 linear-algebra rank oracle with cone membership tests for weight tuples,
-a union-find node-class oracle, root enumeration and a Weyl brute force for -w0 up to rank 5, a Weyl-descent
-oracle for -w0, both ranks from the restricted root system, the anomaly
-scan over every real form of every type, a permutation search deciding
-whether two products of Satake diagrams are isomorphic, a
-character-by-character reference lexer for algebra expressions, and the
-example families of homogeneous spaces with their recorded verdicts."""
+a union-find node-class oracle, root enumeration and a Weyl brute force
+for -w0 up to rank 5, a Weyl-descent oracle for -w0, both ranks from the
+restricted root system, the anomaly scan over every real form of every
+type, a permutation search deciding whether two products of Satake
+diagrams are isomorphic, a character-by-character reference lexer for
+algebra expressions, and the example families of homogeneous spaces with
+their recorded verdicts."""
 
 from __future__ import annotations
 

@@ -138,7 +138,7 @@ _COMMANDS = {
 #: are small (a large one would make a sweep slow), zero, negative or no
 #: integer.
 _OPTION_VALUES = {
-    "--params": ["k=3", "k=0", "k=-1", "k=100001", "k=2,,l=1", "k=", "=2", "k=x", "k=1,K=2"],
+    "--params": ["k=3", "k=0", "k=-1", "k=100001", "k=2,,l=1", "k=", "=2", "k=x"],
     "sweep": ["5", "2", "1", "0", "-3", "x"],
 }
 #: Tokens no subcommand expects where they are put, or that stop it early.
