@@ -10,7 +10,7 @@ import pytest
 from conftest import _automorphisms, cartan_matrix, is_cartan_automorphism, isomorphic_diagrams, validate
 
 from ahrank.cones import ReductiveAlgebra
-from ahrank.rootsys import SERIES, LieType, canonical_types
+from ahrank.rootsys import SERIES, LieType, _edges, canonical_types
 from ahrank.satake import (
     _COINCIDENCES,
     EXCEPTIONAL,
@@ -300,6 +300,24 @@ def test_real_forms_enumeration():
     }
     for t, names in expected.items():
         assert [str(spec) for spec in real_forms(t)] == names, t
+    # the classical forms in closed form, in order: the split or quaternionic
+    # forms first, the signatures by ascending p, so*(2n) last; the rank-4
+    # coincidences su(1,1) (A1) and so*(8) (D4) are left out
+    for t in canonical_types(40):
+        n, letter = t.rank, t.letter
+        if letter == "A":
+            forms = [("sl_R", (n + 1,))] + [("su_star", (n + 1,))] * (n % 2 == 1 and n >= 3)
+            forms += [("su_pq", (p, n + 1 - p)) for p in range(1 + (n == 1), (n + 1) // 2 + 1)]
+        elif letter == "C":
+            forms = [("sp_R", (n,))] + [("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1)]
+        elif letter in "BD":
+            total = 2 * n + (letter == "B")
+            forms = [("so_pq", (p, total - p)) for p in range(1, n + 1)]
+            forms += [("so_star", (total,))] * (letter == "D" and n > 4)
+        else:
+            continue
+        forms.append((f"compact_{letter}", (n,)))
+        assert real_forms(t) == tuple(RealFormSpec(*form) for form in forms), t
 
 
 def test_exceptional_real_ranks():
@@ -316,32 +334,31 @@ def test_exceptional_real_ranks():
 
 def _black_component_shapes(d):
     """Connected components of the black subdiagram, each reduced to
-    (size, sorted degree sequence, has a multiple bond)."""
-    cartan = cartan_matrix(d.lie_type)
-    black = sorted(d.black)
+    (size, sorted degree sequence, has a multiple bond); one pass over the
+    bonds of ``rootsys._edges``, so linear in the rank."""
+    black = d.black
+    neighbours: dict[int, list[int]] = {x: [] for x in black}
+    multiple: set[int] = set()
+    for i, j, aij, aji in _edges(d.lie_type):
+        if i in black and j in black:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+            if min(aij, aji) <= -2:
+                multiple.add(i)
     seen: set[int] = set()
     shapes = []
-    for start in black:
+    for start in sorted(black):
         if start in seen:
             continue
         component = [start]
         seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in black:
-                if y not in seen and cartan[x - 1][y - 1] != 0:
+        for x in component:  # the list grows while it is walked
+            for y in neighbours[x]:
+                if y not in seen:
                     seen.add(y)
                     component.append(y)
-                    queue.append(y)
-        degrees = sorted(
-            sum(1 for y in component if y != x and cartan[x - 1][y - 1] != 0)
-            for x in component
-        )
-        multiple = any(
-            cartan[x - 1][y - 1] <= -2 for x in component for y in component if x != y
-        )
-        shapes.append((len(component), tuple(degrees), multiple))
+        degrees = sorted(len(neighbours[x]) for x in component)
+        shapes.append((len(component), tuple(degrees), not multiple.isdisjoint(component)))
     return sorted(shapes)
 
 
@@ -380,6 +397,97 @@ def test_classical_anisotropic_kernels():
     assert _black_component_shapes(satake_of(RealFormSpec("so_pq", (2, 7)))) == [
         (2, (1, 1), True)  # B2 tail
     ]
+
+
+def _chain(size, multiple=False):
+    """Shapes of a black chain of ``size`` nodes, with a double bond at one
+    end when ``multiple`` (a B or C tail); none for a size below 1."""
+    if size < 2:
+        return [A1] * max(size, 0)
+    return [(size, (1, 1) + (2,) * (size - 2), multiple)]
+
+
+def _fork(size):
+    """Shapes of the last ``size`` >= 2 nodes of a D diagram (a D tail):
+    D2 is two isolated nodes and D3 an A3 chain."""
+    if size < 4:
+        return [A1, A1] if size == 2 else _chain(3)
+    return [(size, (1, 1, 1) + (2,) * (size - 4) + (3,), False)]
+
+
+def _closed_form_kernel(family, params):
+    """(black component shapes, arrow count) of a classical form (Araki
+    1962; Onishchik-Vinberg), read off the parameters alone."""
+    p, q = sorted(params) if len(params) == 2 else (params[0], None)
+    if family == "su_star":
+        return [A1] * (p // 2), 0
+    if family == "su_pq":
+        return _chain(q - p - 1), p - (p == q)
+    if family == "sp_pq":
+        return sorted([A1] * p + _chain(q - p, multiple=True)), 0
+    if family == "so_star":
+        return [A1] * (p // 4), p // 2 % 2
+    if family == "so_pq":
+        tail = (p + q) // 2 - p
+        if (p + q) % 2:
+            return _chain(tail, multiple=True), 0
+        return ([], tail) if tail < 2 else (_fork(tail), 0)
+    if family.startswith("complex_"):
+        return [], p
+    return [], 0  # sl(n,R), sp(n,R)
+
+
+def _classical_specs(rank_bound):
+    """Every sl/su/so/sp form and complex double of rank at most
+    ``rank_bound``, two parameters ascending."""
+    for n in range(1, rank_bound + 1):
+        yield RealFormSpec("sl_R", (n + 1,))
+        yield RealFormSpec("sp_R", (n,))
+        if n >= 2:
+            yield RealFormSpec("so_star", (2 * n,))
+        if n % 2 and n >= 3:
+            yield RealFormSpec("su_star", (n + 1,))
+        for letter in "ABCD"[: 3 + (n >= 2)]:
+            yield RealFormSpec(f"complex_{letter}", (n,))
+            yield RealFormSpec(f"compact_{letter}", (n,))
+        yield from (RealFormSpec("su_pq", (p, n + 1 - p)) for p in range(1, (n + 1) // 2 + 1))
+        yield from (RealFormSpec("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1))
+        yield from (RealFormSpec("so_pq", (p, 2 * n + 1 - p)) for p in range(1, n + 1))
+        yield from (RealFormSpec("so_pq", (p, 2 * n - p)) for p in range(1, n + 1) if n >= 2)
+
+
+#: Large sides, far above the sweep's rank bound: su(250,250) has 249
+#: arrows, so*(1000) (n = 500) none and so*(998) one.
+_LARGE_SIDES = (250, 1_000, 10_000)
+
+
+def _large_specs():
+    for low, high in itertools.combinations_with_replacement(_LARGE_SIDES, 2):
+        for family in ("su_pq", "sp_pq", "so_pq"):
+            yield RealFormSpec(family, (low, high))
+    for side in _LARGE_SIDES:
+        for family in ("sl_R", "sp_R", "su_star", "complex_A"):
+            yield RealFormSpec(family, (side,))
+        yield RealFormSpec("so_star", (side,))
+        yield RealFormSpec("so_star", (side - 2,))
+    # the arrow ladder and so* at the parameter bound, about 0.15 s
+    yield RealFormSpec("su_pq", (MAX_PARAMETER, MAX_PARAMETER))
+    yield RealFormSpec("so_star", (MAX_PARAMETER,))
+    yield RealFormSpec("so_star", (MAX_PARAMETER - 2,))
+
+
+def test_classical_kernels_and_arrows_in_closed_form():
+    # su*(2n): n isolated black nodes; su(p,q): an A_{q-p-1} chain and p
+    # arrows (p - 1 when p = q); sp(p,q): p isolated plus a C_{q-p} tail;
+    # so(p,q): a B/D tail, split, or the fork arrow; so*(2n): n/2 isolated
+    # plus the fork arrow for odd n; compact forms all black
+    for spec in itertools.chain(_classical_specs(40), _large_specs()):
+        d = satake_of(spec)
+        if spec.family.startswith("compact_"):
+            assert (len(d.black), d.arrows) == (d.node_count, frozenset()), spec
+            continue
+        shapes, arrow_count = _closed_form_kernel(spec.family, spec.params)
+        assert (_black_component_shapes(d), len(d.arrows)) == (shapes, arrow_count), spec
 
 
 def test_ascii_diagram_smoke():
