@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cones import RankProfile, a_hyperbolic_rank, b_plus_generators, rank_profile
@@ -30,6 +31,9 @@ from .satake import InvalidRealFormError, ascii_diagram, export, real_rank, sata
 
 
 def _params_arg(text: str) -> dict[str, int]:
+    """Comma-separated name=value entries, read as the expression language
+    reads them: a name is a run of ASCII letters, case-insensitive, and a
+    value an optional sign and a run of decimal digits (an INT)."""
     env = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -40,12 +44,17 @@ def _params_arg(text: str) -> dict[str, int]:
             raise argparse.ArgumentTypeError(
                 f"bad --params entry {piece!r}; expected name=value"
             )
-        name = name.strip().lower()
+        name = name.strip()
+        if not re.fullmatch("[A-Za-z]+", name):
+            raise argparse.ArgumentTypeError(f"bad --params name {name!r}; expected ASCII letters")
+        name = name.lower()
         if name in env:
             raise argparse.ArgumentTypeError(f"repeated --params name {name!r}")
+        if not re.fullmatch(r"[+-]?\d+", value.strip()):
+            raise argparse.ArgumentTypeError(f"bad integer in --params: {value!r}")
         try:
             env[name] = int(value)
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise argparse.ArgumentTypeError(f"bad integer in --params: {value!r}") from exc
     return env
 

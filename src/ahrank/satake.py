@@ -143,13 +143,8 @@ def _sp_pq(p: int, q: int) -> SatakeDiagram:
 def _so_star(m: int) -> SatakeDiagram:
     _require(m >= 4 and m % 2 == 0, f"so*(2n) requires an even argument >= 4, got {m}")
     n = m // 2
-    if n % 2 == 0:
-        return SatakeDiagram(LieType("D", n), black=frozenset(range(1, n + 1, 2)))
-    return SatakeDiagram(
-        LieType("D", n),
-        black=frozenset(range(1, n - 1, 2)),
-        arrows=frozenset([(n - 1, n)]),
-    )
+    arrows = frozenset([(n - 1, n)] if n % 2 else ())
+    return SatakeDiagram(LieType("D", n), black=frozenset(range(1, n, 2)), arrows=arrows)
 
 
 #: The exceptional real forms, in enumeration order: family label to
@@ -325,16 +320,14 @@ def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
         if total % 2 == 0 and total >= 4:
             forms.append(RealFormSpec("su_star", (total,)))
         forms.extend(RealFormSpec("su_pq", (p, total - p)) for p in range(1, total // 2 + 1))
-    elif t.letter == "B":
-        total = 2 * n + 1
+    elif t.letter in "BD":
+        total = 2 * n + (t.letter == "B")
         forms.extend(RealFormSpec("so_pq", (p, total - p)) for p in range(1, n + 1))
+        if t.letter == "D":
+            forms.append(RealFormSpec("so_star", (total,)))
     elif t.letter == "C":
         forms.append(RealFormSpec("sp_R", (n,)))
         forms.extend(RealFormSpec("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1))
-    elif t.letter == "D":
-        total = 2 * n
-        forms.extend(RealFormSpec("so_pq", (p, total - p)) for p in range(1, n + 1))
-        forms.append(RealFormSpec("so_star", (total,)))
     else:
         forms.extend(
             RealFormSpec(family)

@@ -132,6 +132,36 @@ def test_repeated_params_name_is_a_usage_error(capsys, params):
     assert "repeated --params name 'k'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ("k=5_0", "bad integer in --params: '5_0'"),  # sl(5_0,R) is a parse error
+        ("k k=5", "bad --params name 'k k'; expected ASCII letters"),
+        ("k1=5", "bad --params name 'k1'; expected ASCII letters"),
+    ],
+)
+def test_params_outside_the_expression_language_are_usage_errors(capsys, params, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "sl(k,R)", "--params", params])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params,text,literal",
+    [
+        ("k=+5", "sl(k,R)", "sl(+5,R)"),
+        ("k=-1", "sl(k+6,R)", "sl(-1+6,R)"),
+        ("k=٥", "sl(k,R)", "sl(٥,R)"),
+        ("k=2,,l=1", "sl(k+l+2,R)", "sl(2+1+2,R)"),
+    ],
+)
+def test_params_value_reads_as_the_literal(capsys, params, text, literal):
+    code, out, err = run(capsys, "rank", text, "--params", params)
+    assert (code, out, err) == run(capsys, "rank", literal)
+    assert code == 0 and "algebra:           sl(5,R)" in out
+
+
 def test_parse_error_exit_2(capsys):
     code, _out, err = run(capsys, "rank", "gl(3,R)")
     assert code == 2

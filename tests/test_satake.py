@@ -438,22 +438,22 @@ def _closed_form_kernel(family, params):
 
 
 def _classical_specs(rank_bound):
-    """Every sl/su/so/sp form and complex double of rank at most
-    ``rank_bound``, two parameters ascending."""
+    """Every sl/su/so/sp form, compact form and complex double of a
+    classical type of rank at most ``rank_bound``, two parameters ascending."""
     for n in range(1, rank_bound + 1):
-        yield RealFormSpec("sl_R", (n + 1,))
-        yield RealFormSpec("sp_R", (n,))
-        if n >= 2:
-            yield RealFormSpec("so_star", (2 * n,))
-        if n % 2 and n >= 3:
-            yield RealFormSpec("su_star", (n + 1,))
-        for letter in "ABCD"[: 3 + (n >= 2)]:
+        for letter in "ABCD" if n >= 2 else "ABC":
             yield RealFormSpec(f"complex_{letter}", (n,))
             yield RealFormSpec(f"compact_{letter}", (n,))
+        yield RealFormSpec("sl_R", (n + 1,))
+        if n % 2 and n >= 3:
+            yield RealFormSpec("su_star", (n + 1,))
         yield from (RealFormSpec("su_pq", (p, n + 1 - p)) for p in range(1, (n + 1) // 2 + 1))
-        yield from (RealFormSpec("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1))
         yield from (RealFormSpec("so_pq", (p, 2 * n + 1 - p)) for p in range(1, n + 1))
-        yield from (RealFormSpec("so_pq", (p, 2 * n - p)) for p in range(1, n + 1) if n >= 2)
+        yield RealFormSpec("sp_R", (n,))
+        yield from (RealFormSpec("sp_pq", (p, n - p)) for p in range(1, n // 2 + 1))
+        if n >= 2:
+            yield from (RealFormSpec("so_pq", (p, 2 * n - p)) for p in range(1, n + 1))
+            yield RealFormSpec("so_star", (2 * n,))
 
 
 #: Large sides, far above the sweep's rank bound: su(250,250) has 249
