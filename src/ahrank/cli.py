@@ -31,9 +31,8 @@ from .satake import InvalidRealFormError, ascii_diagram, export, real_rank, sata
 
 
 def _params_arg(text: str) -> dict[str, int]:
-    """Comma-separated name=value entries, read as the expression language
-    reads them: a name is a run of ASCII letters, case-insensitive, and a
-    value an optional sign and a run of decimal digits (an INT)."""
+    """Comma-separated name=value entries, read as an expression reads them:
+    a name is ASCII letters (any case), a value an optional sign and digits."""
     env = {}
     for piece in text.split(","):
         piece = piece.strip()

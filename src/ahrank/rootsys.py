@@ -126,10 +126,8 @@ def _edges(t: LieType) -> tuple[tuple[int, int, int, int], ...]:
     if t.letter == "A":
         return tuple(chain(i) for i in range(1, n))
     if t.letter in "BC":
-        if n == 1:
-            return ()
         last = (n - 1, n, -2, -1) if t.letter == "B" else (n - 1, n, -1, -2)
-        return tuple(chain(i) for i in range(1, n - 1)) + (last,)
+        return tuple(chain(i) for i in range(1, n - 1)) + (last,) if n > 1 else ()
     if t.letter == "D":
         if n == 2:
             return ()
