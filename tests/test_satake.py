@@ -301,8 +301,8 @@ def test_real_forms_enumeration():
     for t, names in expected.items():
         assert [str(spec) for spec in real_forms(t)] == names, t
     # the classical forms in closed form, in order: the split or quaternionic
-    # forms first, the signatures by ascending p, so*(2n) last; the rank-4
-    # coincidences su(1,1) (A1) and so*(8) (D4) are left out
+    # forms first, the signatures by ascending p, so*(2n) last; the
+    # coincidences su(1,1) (A1) and so*(8) (D4 triality) are left out
     for t in canonical_types(40):
         n, letter = t.rank, t.letter
         if letter == "A":
