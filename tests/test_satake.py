@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -237,28 +238,34 @@ def test_export_schema_and_determinism():
     assert json.dumps(payload, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        RealFormSpec("su_star", (7,)),
-        RealFormSpec("su_star", (2,)),
-        RealFormSpec("so_star", (2,)),
-        RealFormSpec("so_star", (9,)),
-        RealFormSpec("so_pq", (0, 3)),
-        RealFormSpec("so_pq", (1, 1)),
-        RealFormSpec("sl_R", (1,)),
-        RealFormSpec("sp_pq", (0, 2)),
-        RealFormSpec("e6_IV", (3,)),
-        RealFormSpec("nonsense"),
-        RealFormSpec("compact_E", (5,)),
-        RealFormSpec("compact_", (3,)),
-        RealFormSpec("compact_AB", (3,)),
-        RealFormSpec("complex_DE", (3,)),
-    ],
-    ids=str,
-)
+#: Failing inputs, at least one per domain check of satake_of and of each
+#: family constructor, with the whole text of the message each raises.
+_DOMAIN_ERRORS = {
+    RealFormSpec("su_star", (7,)): "su*(2n) requires an even argument >= 4, got 7",
+    RealFormSpec("su_star", (2,)): "su*(2n) requires an even argument >= 4, got 2",
+    RealFormSpec("so_star", (2,)): "so*(2n) requires an even argument >= 4, got 2",
+    RealFormSpec("so_star", (9,)): "so*(2n) requires an even argument >= 4, got 9",
+    RealFormSpec("so_pq", (0, 3)): "so(p,q) requires p, q >= 1, got (0,3)",
+    RealFormSpec("so_pq", (1, 1)): "so(p,q) requires p + q >= 3, got 2",
+    RealFormSpec("sl_R", (1,)): "sl(n,R) requires n >= 2, got n=1",
+    RealFormSpec("sp_pq", (0, 2)): "sp(p,q) requires p, q >= 1, got (0,2)",
+    RealFormSpec("su_pq", (0, 3)): "su(p,q) requires p, q >= 1, got (0,3)",
+    RealFormSpec("sp_R", (0,)): "sp(n,R) requires n >= 1, got n=0",
+    RealFormSpec("e6_IV", (3,)): "e6_IV takes no parameters, got (3,)",
+    RealFormSpec("sl_R", (2, 3)): "sl_R takes one parameter, got (2, 3)",
+    RealFormSpec("su_pq", (4,)): "su_pq takes two parameters, got (4,)",
+    RealFormSpec("sl_R", (MAX_PARAMETER + 1,)): "real-form parameter 100001 is above the bound 100000",
+    RealFormSpec("nonsense"): "unknown real-form family 'nonsense'",
+    RealFormSpec("compact_E", (5,)): "no exceptional type E5; expected one of E6, E7, E8, F4, G2",
+    RealFormSpec("compact_", (3,)): "unknown real-form family 'compact_'",
+    RealFormSpec("compact_AB", (3,)): "unknown real-form family 'compact_AB'",
+    RealFormSpec("complex_DE", (3,)): "unknown real-form family 'complex_DE'",
+}
+
+
+@pytest.mark.parametrize("spec", list(_DOMAIN_ERRORS), ids=str)
 def test_domain_errors(spec):
-    with pytest.raises(InvalidRealFormError):
+    with pytest.raises(InvalidRealFormError, match=f"^{re.escape(_DOMAIN_ERRORS[spec])}$"):
         satake_of(spec)
 
 
