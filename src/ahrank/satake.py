@@ -85,26 +85,24 @@ class SatakeDiagram(Record):
         return range(1, self.node_count + 1)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidRealFormError(message)
-
-
 # ---------------------------------------------------------------------------
 # family constructors
 
 def _sl_R(n: int) -> SatakeDiagram:
-    _require(n >= 2, f"sl(n,R) requires n >= 2, got n={n}")
+    if n < 2:
+        raise InvalidRealFormError(f"sl(n,R) requires n >= 2, got n={n}")
     return SatakeDiagram(LieType("A", n - 1))
 
 
 def _su_star(m: int) -> SatakeDiagram:
-    _require(m >= 4 and m % 2 == 0, f"su*(2n) requires an even argument >= 4, got {m}")
+    if m < 4 or m % 2:
+        raise InvalidRealFormError(f"su*(2n) requires an even argument >= 4, got {m}")
     return SatakeDiagram(LieType("A", m - 1), black=frozenset(range(1, m, 2)))
 
 
 def _su_pq(p: int, q: int) -> SatakeDiagram:
-    _require(p >= 1 and q >= 1, f"su(p,q) requires p, q >= 1, got ({p},{q})")
+    if p < 1 or q < 1:
+        raise InvalidRealFormError(f"su(p,q) requires p, q >= 1, got ({p},{q})")
     n = p + q
     low = min(p, q)
     arrows = frozenset(zip(range(1, min(low, (n - 1) // 2) + 1), range(n - 1, 0, -1)))
@@ -113,9 +111,11 @@ def _su_pq(p: int, q: int) -> SatakeDiagram:
 
 
 def _so_pq(p: int, q: int) -> SatakeDiagram:
-    _require(p >= 1 and q >= 1, f"so(p,q) requires p, q >= 1, got ({p},{q})")
+    if p < 1 or q < 1:
+        raise InvalidRealFormError(f"so(p,q) requires p, q >= 1, got ({p},{q})")
     total = p + q
-    _require(total >= 3, f"so(p,q) requires p + q >= 3, got {total}")
+    if total < 3:
+        raise InvalidRealFormError(f"so(p,q) requires p + q >= 3, got {total}")
     low = min(p, q)
     m = total // 2
     if total % 2:
@@ -128,12 +128,14 @@ def _so_pq(p: int, q: int) -> SatakeDiagram:
 
 
 def _sp_R(n: int) -> SatakeDiagram:
-    _require(n >= 1, f"sp(n,R) requires n >= 1, got n={n}")
+    if n < 1:
+        raise InvalidRealFormError(f"sp(n,R) requires n >= 1, got n={n}")
     return SatakeDiagram(LieType("C", n))
 
 
 def _sp_pq(p: int, q: int) -> SatakeDiagram:
-    _require(p >= 1 and q >= 1, f"sp(p,q) requires p, q >= 1, got ({p},{q})")
+    if p < 1 or q < 1:
+        raise InvalidRealFormError(f"sp(p,q) requires p, q >= 1, got ({p},{q})")
     n = p + q
     low = min(p, q)
     black = frozenset(range(1, 2 * low, 2)) | frozenset(range(2 * low + 1, n + 1))
@@ -141,7 +143,8 @@ def _sp_pq(p: int, q: int) -> SatakeDiagram:
 
 
 def _so_star(m: int) -> SatakeDiagram:
-    _require(m >= 4 and m % 2 == 0, f"so*(2n) requires an even argument >= 4, got {m}")
+    if m < 4 or m % 2:
+        raise InvalidRealFormError(f"so*(2n) requires an even argument >= 4, got {m}")
     n = m // 2
     arrows = frozenset([(n - 1, n)] if n % 2 else ())
     return SatakeDiagram(LieType("D", n), black=frozenset(range(1, n, 2)), arrows=arrows)
@@ -251,7 +254,8 @@ def satake_of(spec: RealFormSpec) -> SatakeDiagram:
     if params and max(params) > MAX_PARAMETER:
         raise InvalidRealFormError(f"real-form parameter {max(params)} is above the bound {MAX_PARAMETER}")
     count, build, _ = FAMILIES.get(family) or _unknown_family(family)
-    _require(len(params) == count, f"{family} takes {_PARAMETER_COUNTS[count]}, got {params}")
+    if len(params) != count:
+        raise InvalidRealFormError(f"{family} takes {_PARAMETER_COUNTS[count]}, got {params}")
     return build(*params)
 
 
