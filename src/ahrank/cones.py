@@ -10,18 +10,19 @@ a-hyperbolic rank, and the 0/1 indicator vectors of those classes are the
 extreme rays of that subcone.
 
 The a-hyperbolic rank is counted without walking the classes.  The
-involution reverses one run of nodes (``rootsys.iota_run``); where that run
-is empty it is the identity and the a-hyperbolic rank is the real rank.
-Otherwise, on a Satake diagram, it maps the black nodes onto themselves and
-every arrow onto an arrow, so it permutes the real-rank many white arrow
-classes, and by Burnside's lemma its orbits number (real rank + F) / 2,
-where F counts the classes it fixes.  With no black node and no arrow, F is
-the number of nodes it fixes, and no image of the nodes is built.  An arrow
-it reverses in place maps onto itself, so when it reverses every arrow the
-arrow set is not searched.  A diagram built by hand that breaks either
-condition is counted by the walk that lists the classes.  The count takes
-the real rank as its ``real`` argument, so ``factor_profile`` counts it
-once for both ranks.
+involution reverses one run of nodes (``rootsys.iota_run``), sending a node
+x of it to ``run.start + run.stop - 1 - x``, and fixes every other node;
+where the run is empty it is the identity and the a-hyperbolic rank is the
+real rank.  Otherwise, on a Satake diagram, it maps the black nodes onto
+themselves and every arrow onto an arrow, so it permutes the real-rank many
+white arrow classes, and by Burnside's lemma its orbits number
+(real rank + F) / 2, where F counts the classes it fixes.  Only the black
+nodes in the run and the arrows are reflected; an array of every node's
+image is built only for doubled diagrams, an arrow leaving the run, and the
+walk.  With no black node and no arrow, F is the number of nodes it fixes.
+When it reverses every arrow in place, the arrow set is not searched.  A
+diagram built by hand that breaks either condition is counted by walking
+the classes.  ``factor_profile`` counts the real rank once, for both ranks.
 
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
@@ -99,7 +100,9 @@ def a_hyperbolic_rank(d: SatakeDiagram) -> int:
 
 
 def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
-    """``a_hyperbolic_rank(d)``, given ``real``, the real rank of ``d``."""
+    """``a_hyperbolic_rank(d)``, given ``real``, the real rank of ``d``, with
+    -w0 read off the run by reflection; the image array is built only for
+    doubled diagrams, an arrow that leaves the run, and the walk."""
     run = iota_run(d.lie_type)
     if not run:
         return real
@@ -107,20 +110,28 @@ def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
     black, arrows = d.black, d.arrows
     if not (black or arrows):
         return (real + fixed) // 2
-    image = _iota_image(d, run)
-    black_images = list(map(image.__getitem__, black))
     lefts, rights = zip(*arrows) if arrows else ((), ())
-    left_images = list(map(image.__getitem__, lefts))
+    whole = len(run) == d.lie_type.rank  # A_n: every node is in the run
+    if d.components == 1 and (whole or all(map(run.__contains__, lefts + rights))):
+        mirror = run.start + run.stop - 1  # -w0 sends x in the run to mirror - x
+        moved = black if whole else black.intersection(run)
+        moved_images = [mirror - node for node in moved]
+        left_images, right_images = [mirror - i for i in lefts], (mirror - j for j in rights)
+        fixed_black = len(black) - len(moved) + (len(run) % 2 == 1 and mirror // 2 in black)
+    else:
+        image = _iota_image(d, run)
+        moved_images = [image[node] for node in black]
+        left_images, right_images = [image[i] for i in lefts], (image[j] for j in rights)
+        fixed_black = sum(map(eq, moved_images, black))
     reversed_arrows = sum(map(eq, left_images, rights))  # each maps onto itself
-    arrow_images = zip(left_images, map(image.__getitem__, rights))
-    if not (black.issuperset(black_images) and (
-        reversed_arrows == len(arrows) or arrows.union(zip(rights, lefts)).issuperset(arrow_images)
+    if not (black.issuperset(moved_images) and (
+        reversed_arrows == len(arrows)
+        or arrows.union(zip(rights, lefts)).issuperset(zip(left_images, right_images))
     )):
-        return len(_free_classes(d, image))
-    # the fixed white nodes, less one per arrow fixed pointwise (one fixed
-    # class for its two fixed nodes), plus one per arrow reversed
-    fixed -= sum(map(eq, black_images, black))
-    fixed += reversed_arrows - sum(map(eq, left_images, lefts))
+        return len(_free_classes(d, _iota_image(d, run)))
+    # the fixed nodes less the black ones, less one per arrow fixed
+    # pointwise (one class for its two fixed nodes), plus one per arrow reversed
+    fixed += reversed_arrows - fixed_black - sum(map(eq, left_images, lefts))
     return (real + fixed) // 2
 
 

@@ -205,14 +205,19 @@ def test_factor_profile_counts_both_ranks_as_the_diagram_functions():
 def test_count_preconditions_hold_on_database(monkeypatch):
     # the Burnside count needs -w0 to map the black nodes onto themselves
     # and to commute with the arrows; every diagram of the database has
-    # both, so its a-hyperbolic rank is counted with no walk
+    # both, so its a-hyperbolic rank is counted with no walk.  On one
+    # component -w0 is read off its run, arrows included (su(p,q), odd
+    # so(p,q) and so*(2n), e6(II), e6(III)), so only the doubled diagrams
+    # where -w0 moves nodes build the image array
     diagrams = [satake_of(spec) for t in canonical_types(40) for spec in real_forms(t)]
     diagrams += [complex_as_real(t) for t in canonical_types(12)]
     walked = _walk_calls(monkeypatch)
+    built = _image_calls(monkeypatch)
     for d in diagrams:
         assert _preconditions(d) == (True, True), d
         a_hyperbolic_rank(d)
     assert walked == []
+    assert built == [d for d in diagrams if d.components == 2 and iota_run(d.lie_type)]
 
 
 def test_rank_falls_back_to_the_walk_outside_the_preconditions(monkeypatch):
@@ -393,3 +398,31 @@ def test_no_black_node_and_no_arrow_builds_no_image(monkeypatch):
     assert (walked, built) == ([], [])
     for d, rank in diagrams.items():
         assert len(antipodal_classes(d)) == rank, d
+
+
+@pytest.mark.parametrize(
+    ("d", "rank", "walked", "built"),
+    [
+        # -w0 swaps the fork pair 4, 5, so the black set is not kept
+        (SatakeDiagram(LieType("D", 5), black=frozenset([4])), 3, True, True),
+        # black nodes off the run {6, 7}, which -w0 fixes
+        (SatakeDiagram(LieType("D", 7), black=frozenset([1, 2])), 4, False, False),
+        # an arrow off the run, which -w0 fixes pointwise: one fixed class
+        (SatakeDiagram(LieType("D", 7), arrows=frozenset([(1, 2)])), 5, False, True),
+        # the branch node of E6, off the run 1..5
+        (SatakeDiagram(LieType("E", 6), black=frozenset([6])), 3, False, False),
+        # the middle of the odd run of A5, the one black node -w0 fixes
+        (SatakeDiagram(LieType("A", 5), black=frozenset([3])), 2, False, False),
+        # the middle pair of the even run of A6, exchanged by -w0
+        (SatakeDiagram(LieType("A", 6), black=frozenset([3, 4])), 2, False, False),
+    ],
+    ids=["D5-black-4", "D7-black-1-2", "D7-arrow-1-2", "E6-black-6", "A5-black-3", "A6-black-3-4"],
+)
+def test_off_run_terms_on_hand_built_diagrams(monkeypatch, d, rank, walked, built):
+    walks = _walk_calls(monkeypatch)
+    images = _image_calls(monkeypatch)
+    assert a_hyperbolic_rank(d) == rank
+    assert (walks, images) == ([d] * walked, [d] * built)
+    arrows = sorted(d.arrows)
+    assert antipodal_classes(d) == union_find_partition(d, arrows + iota_pairs(d))
+    assert len(antipodal_classes(d)) == rank
