@@ -1,0 +1,174 @@
+"""Mutation harness: check that the test suite kills each listed mutant.
+
+    python tests/mutants.py WORKDIR
+
+Copies this checkout, less its dot files and caches, to ``WORKDIR`` (which
+must not exist yet and must lie outside the checkout).  For each mutant of
+``MUTANTS`` it then replaces the old text by the new text in the copy, runs
+``python -m pytest -q -x -p no:cacheprovider tests`` there, restores the
+file and prints ``killed`` or ``survived`` with the time taken.  Every old
+text must occur exactly once in its file, checked before any run, so the
+list fails loudly when the source moves.  A mutant whose reason starts
+with ``equivalent:`` cannot change any result, and its survival is
+expected.  The exit status is 1 when any other mutant survives.
+
+Standard library only; pytest does not collect this file (its name does
+not start with test_), and it is no part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: (file under the checkout, old text, new text, why the tests must fail or,
+#: for an equivalent mutant, why they cannot)
+MUTANTS = [
+    (
+        "src/ahrank/cones.py",
+        "fixed += reversed_arrows - fixed_black",
+        "fixed += -fixed_black",
+        "the count's arrow term dropped: reversed arrows are fixed classes",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "fixed += reversed_arrows - fixed_black",
+        "fixed += reversed_arrows",
+        "the count's black term dropped: fixed black nodes are no white class",
+    ),
+    (
+        "src/ahrank/rootsys.py",
+        "        return range(1, n + 1)\n",
+        "        return range(1, min(n, 24) + 1)\n",
+        "iota_run capped for A: -w0 reverses the whole chain at every rank",
+    ),
+    (
+        "src/ahrank/rootsys.py",
+        'if t.letter == "D" and n % 2 == 1:',
+        'if t.letter == "D" and n % 2 == 1 and n < 24:',
+        "iota_run capped for odd D: -w0 swaps the fork pair at every odd rank",
+    ),
+    (
+        "src/ahrank/decision.py",
+        'g_ahyp > h_real, Verdict',
+        'g_ahyp >= h_real, Verdict',
+        "condition (C) is strict",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "if params and max(params) > MAX_PARAMETER:",
+        "if params and max(params) >= MAX_PARAMETER:",
+        "the parameter bound itself is admitted",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "    real = alg.split_center_dim\n",
+        "    real = alg.split_center_dim + alg.compact_center_dim\n",
+        "a compact center adds nothing to the real rank",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "lefts))\n    return (real + fixed) // 2",
+        "lefts))\n    return (real + fixed + 1) // 2",
+        "equivalent: by Burnside's lemma real + fixed is even",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "zip(range(1, min(low, (n - 1) // 2) + 1)",
+        "zip(range(1, min(low, (n - 1) // 2, 200) + 1)",
+        "su(p,q) has min(p, q) arrows at every size, su(250,250) included",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "arrows = frozenset([(n - 1, n)] if n % 2 else ())",
+        "arrows = frozenset([(n - 1, n)] if n % 2 or n >= 50 else ())",
+        "so*(2n) has the fork arrow only for odd n, so*(100) included",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "mirror = run.start + run.stop - 1",
+        "mirror = run.start + run.stop",
+        "the reflection constant off by one",
+    ),
+    (
+        "src/ahrank/cones.py",
+        " + (len(run) % 2 == 1 and mirror // 2 in black)",
+        "",
+        "equivalent: dropping the black middle node of an odd run raises the"
+        " fixed-class count F by one, which the floor of (real + F) / 2 absorbs",
+    ),
+    (
+        "src/ahrank/cones.py",
+        " + (len(run) % 2 == 1 and mirror // 2 in black)",
+        " + 2 * (len(run) % 2 == 1 and mirror // 2 in black)",
+        "the black middle node of an odd run is one fixed black node",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "moved = black if whole else black.intersection(run)",
+        "moved = black",
+        "black nodes off the run of D and E are fixed, not reflected",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "whole = len(run) == d.lie_type.rank",
+        "whole = True",
+        "only the run of A_n holds every node",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "if d.components == 1 and (whole or all(map(run.__contains__, lefts + rights))):",
+        "if d.components == 1:",
+        "an arrow leaving the run is mapped by the image array",
+    ),
+]
+
+
+def check_list(root: Path) -> None:
+    """Fail unless every old text occurs exactly once in its file."""
+    for file, old, _, why in MUTANTS:
+        count = (root / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            sys.exit(f"{file}: old text of {why!r} occurs {count} times, not once")
+
+
+def run_suite(copy: Path) -> bool:
+    """Whether the test suite passes in ``copy``."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    result = subprocess.run(command, cwd=copy, env=env, capture_output=True)
+    return result.returncode == 0
+
+
+def main(workdir: str) -> int:
+    check_list(ROOT)
+    copy = Path(workdir)
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".*", "__pycache__", "BENCH_*.json"))
+    if not run_suite(copy):
+        sys.exit("the suite fails on the unmutated copy")
+    unexpected = 0
+    for file, old, new, why in MUTANTS:
+        path = copy / file
+        source = path.read_text(encoding="utf-8")
+        path.write_text(source.replace(old, new), encoding="utf-8")
+        start = time.perf_counter()
+        passed = run_suite(copy)
+        elapsed = time.perf_counter() - start
+        path.write_text(source, encoding="utf-8")
+        equivalent = why.startswith("equivalent:")
+        unexpected += passed and not equivalent
+        print(f"{'survived' if passed else 'killed':8} {elapsed:6.1f} s  {file}: {why}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {unexpected} unexpected survivors")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
