@@ -9,20 +9,18 @@ subcone fixed by it; the number of surviving free classes is the
 a-hyperbolic rank, and the 0/1 indicator vectors of those classes are the
 extreme rays of that subcone.
 
-The a-hyperbolic rank is counted without walking the classes.  The
-involution reverses one run of nodes (``rootsys.iota_run``), sending a node
-x of it to ``run.start + run.stop - 1 - x``, and fixes every other node;
-where the run is empty it is the identity and the a-hyperbolic rank is the
-real rank.  Otherwise, on a Satake diagram, it maps the black nodes onto
-themselves and every arrow onto an arrow, so it permutes the real-rank many
+``a_hyperbolic_rank`` walks the classes, so it is exact on any diagram.
+``factor_profile`` counts instead, on the diagrams ``satake_of`` builds.
+The involution reverses one run of nodes (``rootsys.iota_run``), sending a
+node x of it to ``run.start + run.stop - 1 - x``, and fixes every other
+node.  On every Satake diagram it maps the black nodes onto themselves and
+every arrow onto an arrow (Araki 1962), so it permutes the real-rank many
 white arrow classes, and by Burnside's lemma its orbits number
-(real rank + F) / 2, where F counts the classes it fixes.  Only the black
-nodes in the run and the arrows are reflected; an array of every node's
-image is built only for doubled diagrams, an arrow leaving the run, and the
-walk.  With no black node and no arrow, F is the number of nodes it fixes.
-When it reverses every arrow in place, the arrow set is not searched.  A
-diagram built by hand that breaks either condition is counted by walking
-the classes.  ``factor_profile`` counts the real rank once, for both ranks.
+(real rank + F) / 2, where F counts the classes it fixes.  F is read off
+the run: the fixed nodes, less the fixed black ones, plus one per arrow
+reversed in place, less one per arrow fixed pointwise (one class for its
+two fixed nodes).  On a doubled diagram, which has no black node and the
+arrows (i, n + i), F is the number of nodes fixed on one component.
 
 For semisimple and reductive algebras both ranks add over simple factors;
 a split abelian center adds to the real rank only.
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from operator import eq
 
 from .rootsys import Record, iota_run
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
@@ -73,11 +70,12 @@ def matching_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     return _free_classes(d, range(d.node_count + 1))
 
 
-def _iota_image(d: SatakeDiagram, run: range) -> list[int]:
+def _iota_image(d: SatakeDiagram) -> list[int]:
     """1-based image array of the longest-element involution on the whole
-    diagram, which reverses ``run`` (``iota_run(d.lie_type)``) in place,
-    applied per component on doubled diagrams (index 0 unused)."""
+    diagram, which reverses ``iota_run(d.lie_type)`` in place, applied per
+    component on doubled diagrams (index 0 unused)."""
     n = d.lie_type.rank
+    run = iota_run(d.lie_type)
     image = [*range(run.start), *reversed(run), *range(run.stop, n + 1)]
     if d.components == 1:
         return image
@@ -87,51 +85,37 @@ def _iota_image(d: SatakeDiagram, run: range) -> list[int]:
 def antipodal_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     """Free classes generated jointly by the arrows and the longest-element
     involution (applied per component on doubled diagrams)."""
-    return _free_classes(d, _iota_image(d, iota_run(d.lie_type)))
+    return _free_classes(d, _iota_image(d))
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:
     """Dimension of the involution-fixed subcone: the number of free
-    antipodal classes, counted as the module docstring says.  Like
-    ``real_rank``, this takes arrows to join white nodes.  The classes are
-    walked only when the involution does not map the black nodes onto
-    themselves and every arrow onto an arrow."""
-    return _a_hyperbolic_count(d, real_rank(d))
+    antipodal classes, found by walking them, so any diagram, one built by
+    hand included, gets its exact count.  Like ``real_rank``, this takes
+    arrows to join white nodes."""
+    return len(antipodal_classes(d))
 
 
 def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
-    """``a_hyperbolic_rank(d)``, given ``real``, the real rank of ``d``, with
-    -w0 read off the run by reflection; the image array is built only for
-    doubled diagrams, an arrow that leaves the run, and the walk."""
+    """``a_hyperbolic_rank(d)`` for a diagram ``satake_of`` builds, given
+    ``real``, its real rank, by the Burnside count of the module docstring."""
     run = iota_run(d.lie_type)
-    if not run:
+    if not (run and real):
         return real
-    fixed = d.components * (d.lie_type.rank - len(run) + len(run) % 2)
-    black, arrows = d.black, d.arrows
-    if not (black or arrows):
+    n = d.lie_type.rank
+    fixed = n - len(run) + len(run) % 2  # the nodes -w0 fixes on one component
+    if d.components == 2:
         return (real + fixed) // 2
-    lefts, rights = zip(*arrows) if arrows else ((), ())
-    whole = len(run) == d.lie_type.rank  # A_n: every node is in the run
-    if d.components == 1 and (whole or all(map(run.__contains__, lefts + rights))):
-        mirror = run.start + run.stop - 1  # -w0 sends x in the run to mirror - x
-        moved = black if whole else black.intersection(run)
-        moved_images = [mirror - node for node in moved]
-        left_images, right_images = [mirror - i for i in lefts], (mirror - j for j in rights)
-        fixed_black = len(black) - len(moved) + (len(run) % 2 == 1 and mirror // 2 in black)
-    else:
-        image = _iota_image(d, run)
-        moved_images = [image[node] for node in black]
-        left_images, right_images = [image[i] for i in lefts], (image[j] for j in rights)
-        fixed_black = sum(map(eq, moved_images, black))
-    reversed_arrows = sum(map(eq, left_images, rights))  # each maps onto itself
-    if not (black.issuperset(moved_images) and (
-        reversed_arrows == len(arrows)
-        or arrows.union(zip(rights, lefts)).issuperset(zip(left_images, right_images))
-    )):
-        return len(_free_classes(d, _iota_image(d, run)))
-    # the fixed nodes less the black ones, less one per arrow fixed
-    # pointwise (one class for its two fixed nodes), plus one per arrow reversed
-    fixed += reversed_arrows - fixed_black - sum(map(eq, left_images, lefts))
+    mirror = run.start + run.stop - 1  # -w0 sends x in the run to mirror - x
+    black = d.black
+    if len(run) < n:  # the black nodes off the run (none on A_n) are fixed
+        fixed -= len(black) - len(black.intersection(run))
+    fixed -= len(run) % 2 == 1 and mirror // 2 in black  # so is a black middle
+    for i, j in d.arrows:
+        if i + j == mirror:  # reversed in place: one fixed class
+            fixed += 1
+        elif i not in run or 2 * i == mirror:  # fixed pointwise: one class, two fixed nodes
+            fixed -= 1
     return (real + fixed) // 2
 
 

@@ -32,15 +32,67 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     (
         "src/ahrank/cones.py",
-        "fixed += reversed_arrows - fixed_black",
-        "fixed += -fixed_black",
-        "the count's arrow term dropped: reversed arrows are fixed classes",
+        "            fixed += 1\n",
+        "            pass\n",
+        "the reversed-arrow term dropped: an arrow reversed in place is a fixed class",
     ),
     (
         "src/ahrank/cones.py",
-        "fixed += reversed_arrows - fixed_black",
-        "fixed += reversed_arrows",
-        "the count's black term dropped: fixed black nodes are no white class",
+        "            fixed -= 1\n",
+        "            pass\n",
+        "the pointwise-arrow term dropped: an arrow fixed pointwise is one class for"
+        " two fixed nodes",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "elif i not in run or 2 * i == mirror:",
+        "elif i not in run:",
+        "equivalent: only E6's arrow (3, 6) ends at the middle of an odd run and is fixed"
+        " pointwise, and missing that one arrow raises F by one, which the floor of"
+        " (real + F) / 2 absorbs",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "fixed -= len(black) - len(black.intersection(run))",
+        "fixed -= 0",
+        "black nodes off the run of D and E are fixed black nodes",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "mirror = run.start + run.stop - 1",
+        "mirror = run.start + run.stop",
+        "the reflection constant off by one",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "if d.components == 2:\n        return (real + fixed) // 2",
+        "if d.components == 2:\n        return (real + 2 * fixed) // 2",
+        "a doubled diagram fixes one class per node fixed on one component, not two",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "if not (run and real):",
+        "if not run:",
+        "a real rank of 0 is returned before any node is read",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "fixed -= len(run) % 2 == 1 and mirror // 2 in black  #",
+        "pass  #",
+        "equivalent: dropping the black middle node of an odd run raises the"
+        " fixed-class count F by one, which the floor of (real + F) / 2 absorbs",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "fixed -= len(run) % 2 == 1 and mirror // 2 in black",
+        "fixed -= 2 * (len(run) % 2 == 1 and mirror // 2 in black)",
+        "the black middle node of an odd run is one fixed black node",
+    ),
+    (
+        "src/ahrank/cones.py",
+        "            fixed -= 1\n    return (real + fixed) // 2",
+        "            fixed -= 1\n    return (real + fixed + 1) // 2",
+        "equivalent: by Burnside's lemma real + fixed is even",
     ),
     (
         "src/ahrank/rootsys.py",
@@ -56,8 +108,8 @@ MUTANTS = [
     ),
     (
         "src/ahrank/decision.py",
-        'g_ahyp > h_real, Verdict',
-        'g_ahyp >= h_real, Verdict',
+        "g_ahyp > h_real, Verdict",
+        "g_ahyp >= h_real, Verdict",
         "condition (C) is strict",
     ),
     (
@@ -73,12 +125,6 @@ MUTANTS = [
         "a compact center adds nothing to the real rank",
     ),
     (
-        "src/ahrank/cones.py",
-        "lefts))\n    return (real + fixed) // 2",
-        "lefts))\n    return (real + fixed + 1) // 2",
-        "equivalent: by Burnside's lemma real + fixed is even",
-    ),
-    (
         "src/ahrank/satake.py",
         "zip(range(1, min(low, (n - 1) // 2) + 1)",
         "zip(range(1, min(low, (n - 1) // 2, 200) + 1)",
@@ -89,43 +135,6 @@ MUTANTS = [
         "arrows = frozenset([(n - 1, n)] if n % 2 else ())",
         "arrows = frozenset([(n - 1, n)] if n % 2 or n >= 50 else ())",
         "so*(2n) has the fork arrow only for odd n, so*(100) included",
-    ),
-    (
-        "src/ahrank/cones.py",
-        "mirror = run.start + run.stop - 1",
-        "mirror = run.start + run.stop",
-        "the reflection constant off by one",
-    ),
-    (
-        "src/ahrank/cones.py",
-        " + (len(run) % 2 == 1 and mirror // 2 in black)",
-        "",
-        "equivalent: dropping the black middle node of an odd run raises the"
-        " fixed-class count F by one, which the floor of (real + F) / 2 absorbs",
-    ),
-    (
-        "src/ahrank/cones.py",
-        " + (len(run) % 2 == 1 and mirror // 2 in black)",
-        " + 2 * (len(run) % 2 == 1 and mirror // 2 in black)",
-        "the black middle node of an odd run is one fixed black node",
-    ),
-    (
-        "src/ahrank/cones.py",
-        "moved = black if whole else black.intersection(run)",
-        "moved = black",
-        "black nodes off the run of D and E are fixed, not reflected",
-    ),
-    (
-        "src/ahrank/cones.py",
-        "whole = len(run) == d.lie_type.rank",
-        "whole = True",
-        "only the run of A_n holds every node",
-    ),
-    (
-        "src/ahrank/cones.py",
-        "if d.components == 1 and (whole or all(map(run.__contains__, lefts + rights))):",
-        "if d.components == 1:",
-        "an arrow leaving the run is mapped by the image array",
     ),
 ]
 

@@ -20,7 +20,6 @@ from conftest import (
 
 from ahrank.catalog import OPEN_CASE, anomaly_scan, verify_table2
 from ahrank.cones import (
-    a_hyperbolic_rank,
     b_plus_generators,
     factor_profile,
     rank_profile,
@@ -28,12 +27,12 @@ from ahrank.cones import (
 from ahrank.decision import Verdict, decide, embed_obstruction
 from ahrank.notation import parse, render
 from ahrank.rootsys import LieType, iota
-from ahrank.satake import RealFormSpec, real_rank, satake_of
+from ahrank.satake import RealFormSpec, satake_of
 
 
 def _ranks(spec: RealFormSpec) -> tuple[int, int]:
-    d = satake_of(spec)
-    return a_hyperbolic_rank(d), real_rank(d)
+    profile = factor_profile(spec)
+    return profile.a_hyperbolic_rank, profile.real_rank
 
 
 def test_acceptance_1_rank_table_reproduction():
@@ -135,8 +134,9 @@ def test_acceptance_9_dual_path_rank_equality():
     for spec in database_specs(rank_bound=9, doubled_rank_bound=4):
         d = satake_of(spec)
         n = d.node_count
-        assert solution_dimension(n, matching_equations(d)) == real_rank(d), spec
-        assert solution_dimension(n, antipodal_equations(d)) == a_hyperbolic_rank(d), spec
+        profile = factor_profile(spec)
+        assert solution_dimension(n, matching_equations(d)) == profile.real_rank, spec
+        assert solution_dimension(n, antipodal_equations(d)) == profile.a_hyperbolic_rank, spec
         count += 1
     print(f"ACCEPTANCE 9 PASS: class counting equals rational linear algebra on {count} diagrams")
 

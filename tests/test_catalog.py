@@ -24,11 +24,11 @@ from ahrank.catalog import (
     verify_table1,
     verify_table2,
 )
-from ahrank.cones import a_hyperbolic_rank
+from ahrank.cones import RankProfile
 from ahrank.decision import Verdict
 from ahrank.notation import parse
 from ahrank.rootsys import canonical_types, iota_run
-from ahrank.satake import RealFormSpec, real_forms, real_rank, satake_of
+from ahrank.satake import RealFormSpec, real_forms, satake_of
 
 
 def test_verify_table1_passes():
@@ -41,12 +41,10 @@ def test_verify_table1_passes():
 
 
 def test_table1_spot_values():
-    d = satake_of(RealFormSpec("su_star", (6,)))  # k = 1 instance of su*(4k+2)
-    assert (a_hyperbolic_rank(d), real_rank(d)) == (1, 2)
-    d = satake_of(RealFormSpec("so_pq", (5, 5)))  # k = 2
-    assert (a_hyperbolic_rank(d), real_rank(d)) == (4, 5)
-    d = satake_of(RealFormSpec("su_star", (8,)))  # k = 2 instance of su*(4k)
-    assert (a_hyperbolic_rank(d), real_rank(d)) == (2, 3)
+    # k = 1 instance of su*(4k+2), k = 2 of so(2k+1,2k+1), k = 2 of su*(4k)
+    assert cones.factor_profile(RealFormSpec("su_star", (6,))) == RankProfile(2, 1)
+    assert cones.factor_profile(RealFormSpec("so_pq", (5, 5))) == RankProfile(5, 4)
+    assert cones.factor_profile(RealFormSpec("su_star", (8,))) == RankProfile(3, 2)
 
 
 def test_verify_table2_passes():
