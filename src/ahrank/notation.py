@@ -38,7 +38,9 @@ by ``satake.canonical`` when the algebra is built.
 
 from __future__ import annotations
 
+import operator
 import re
+from functools import lru_cache
 
 from .cones import ReductiveAlgebra
 from .rootsys import EXCEPTIONAL_TYPES, Record
@@ -126,10 +128,10 @@ class _Parser:
     """Recursive descent over the token list.  ``index`` is the next token;
     it never passes END, since only tokens of another kind are consumed."""
 
-    def __init__(self, text: str, params: dict[str, int] | None) -> None:
+    def __init__(self, text: str, params: dict[str, int]) -> None:
         self.tokens = _tokenize(text)
         self.index = 0
-        self.env = params or {}
+        self.env = params
         self.factors: list[RealFormSpec] = []
         self.compact_center = 0
         self.split_center = 0
@@ -271,8 +273,12 @@ class _Parser:
             i += 1
             kind, text, pos = tokens[i]
 
-    def _args(self, name: str, fields: frozenset[str]) -> tuple[int, int | None, str | None]:
-        """Parse "(" arg ["," (arg | field)] ")"; returns (first, second, field)."""
+    def _args(
+        self, name: str, fields: frozenset[str], field_names: str
+    ) -> tuple[int, int | None, str | None]:
+        """Parse "(" arg ["," (arg | field)] ")"; returns (first, second, field).
+        An unbound name where a field may stand is an error naming the
+        fields, as ``field_names`` spells them."""
         tokens = self.tokens
         kind, text, open_paren = tokens[self.index]
         if kind != "SYM" or text != "(":
@@ -284,7 +290,13 @@ class _Parser:
         if kind == "SYM" and text == ",":
             self.index += 1
             kind, text, pos = tokens[self.index]
-            if kind == "NAME" and text in fields and text not in self.env:
+            if kind == "NAME" and text not in self.env and fields:
+                if text not in fields:
+                    raise ParseError(
+                        f"{text!r} is neither a field of {name} ({field_names})"
+                        " nor a bound parameter",
+                        pos,
+                    )
                 field = text
                 self.index += 1
             else:
@@ -391,11 +403,11 @@ class _Parser:
         if entry is None:
             raise ParseError(f"unknown atom {name!r}", pos)
         self.index += 1
-        fields, contribute = entry
+        fields, field_names, contribute = entry
         if fields is None:
             contribute(self, name, pos)
         else:
-            contribute(self, *self._args(name, fields), pos)
+            contribute(self, *self._args(name, fields, field_names), pos)
 
     def _center(self, name: str, pos: int) -> None:
         """T^k, a compact center, or R^k, a split one."""
@@ -448,7 +460,7 @@ class _Parser:
             if kind != "NAME" or text != "u":
                 raise ParseError("S(...) expects U(...) factors", pos)
             self.index += 1
-            self._contrib_su(*self._args("u", _NO_FIELDS), pos)
+            self._contrib_su(*self._args("u", _NO_FIELDS, ""), pos)
             count += 1
             self._skip_structural()
             if not self._at_separator():
@@ -479,25 +491,26 @@ class _Parser:
 
 
 _NO_FIELDS: frozenset[str] = frozenset()
-#: Each atom name with the field names its second argument may take and
-#: the method that adds its contribution from the parsed arguments; an atom
-#: with ``None`` for fields has no argument list, and its method reads the
-#: tokens after the name itself.
+#: Each atom name with the field names its second argument may take, those
+#: fields as its error messages spell them, and the method that adds its
+#: contribution from the parsed arguments; an atom with ``None`` for fields
+#: has no argument list, and its method reads the tokens after the name
+#: itself.
 _ATOMS = {
-    "sl": (frozenset("rch"), _Parser._contrib_sl),
-    "su": (_NO_FIELDS, _Parser._contrib_su),
-    "su*": (_NO_FIELDS, _Parser._contrib_su_star),
-    "so": (frozenset("c"), _Parser._contrib_so),
-    "spin": (frozenset("c"), _Parser._contrib_spin),
-    "so*": (_NO_FIELDS, _Parser._contrib_so_star),
-    "sp": (frozenset("rc"), _Parser._contrib_sp),
-    "u": (_NO_FIELDS, _Parser._contrib_u),
-    "s": (None, _Parser._s_construction),
-    "t": (None, _Parser._center),
-    "r": (None, _Parser._center),
-    "e": (None, _Parser._exceptional_atom),
-    "f": (None, _Parser._exceptional_atom),
-    "g": (None, _Parser._exceptional_atom),
+    "sl": (frozenset("rch"), "R, C or H", _Parser._contrib_sl),
+    "su": (_NO_FIELDS, "", _Parser._contrib_su),
+    "su*": (_NO_FIELDS, "", _Parser._contrib_su_star),
+    "so": (frozenset("c"), "C", _Parser._contrib_so),
+    "spin": (frozenset("c"), "C", _Parser._contrib_spin),
+    "so*": (_NO_FIELDS, "", _Parser._contrib_so_star),
+    "sp": (frozenset("rc"), "R or C", _Parser._contrib_sp),
+    "u": (_NO_FIELDS, "", _Parser._contrib_u),
+    "s": (None, "", _Parser._s_construction),
+    "t": (None, "", _Parser._center),
+    "r": (None, "", _Parser._center),
+    "e": (None, "", _Parser._exceptional_atom),
+    "f": (None, "", _Parser._exceptional_atom),
+    "g": (None, "", _Parser._exceptional_atom),
 }
 
 
@@ -505,9 +518,22 @@ def parse_expression(text: str, params: dict[str, int] | None = None) -> Algebra
     """Parse an algebra expression, reporting any group-level data stripped.
 
     ``params`` binds the integer parameters that may appear inside
-    arguments (e.g. ``{"k": 2}`` for "so(2k-1,2k-1)").
+    arguments (e.g. ``{"k": 2}`` for "so(2k-1,2k-1)"); a value that is not
+    an integer raises ``TypeError``.  A repeated call with equal arguments
+    may return the same record.
     """
-    parser = _Parser(text, params)
+    if not params:
+        return _memo_parse(text, ())
+    return _memo_parse(text, tuple(sorted((k, operator.index(v)) for k, v in params.items())))
+
+
+@lru_cache(maxsize=2048)
+def _memo_parse(text: str, params: tuple[tuple[str, int], ...]) -> AlgebraExpression:
+    """``parse_expression`` remembered per process, keyed on the text and
+    the params as a sorted tuple.  It pays only in a caller that parses
+    the same whole texts again.  The record is immutable, so every caller
+    can share it, and a text that raises ``ParseError`` is not kept."""
+    parser = _Parser(text, dict(params))
     algebra = parser.parse()
     return AlgebraExpression(text, algebra, tuple(parser.discarded))
 

@@ -136,6 +136,28 @@ MUTANTS = [
         "arrows = frozenset([(n - 1, n)] if n % 2 or n >= 50 else ())",
         "so*(2n) has the fork arrow only for odd n, so*(100) included",
     ),
+    (
+        "src/ahrank/notation.py",
+        "    return _memo_parse(text, tuple(sorted((k, operator.index(v)) for k, v in"
+        " params.items())))\n",
+        "    return parse_expression.__dict__.setdefault(\n"
+        "        text, _memo_parse(text, tuple(sorted((k, operator.index(v)) for k, v in"
+        " params.items())))\n"
+        "    )\n",
+        "the parse memo's key drops the params: sl(k,R) parsed with k=3 comes back for k=4",
+    ),
+    (
+        "src/ahrank/notation.py",
+        "(k, operator.index(v)) for k, v in params.items()",
+        "(k, v) for k, v in params.items()",
+        "the parse memo's key keeps only integers: k=3.0 must not share k=3's record",
+    ),
+    (
+        "src/ahrank/notation.py",
+        "@lru_cache(maxsize=2048)\ndef _memo_parse(",
+        "@lru_cache(maxsize=None)\ndef _memo_parse(",
+        "the parse memo is bounded: a long-lived caller must not keep every text it parsed",
+    ),
 ]
 
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from conftest import database_specs
 
+from ahrank.catalog import anomaly_scan, verify_table1
 from ahrank.cones import RankProfile, ReductiveAlgebra, rank_profile
-from ahrank.notation import ParseError, parse, parse_expression, render
+from ahrank.notation import ParseError, _memo_parse, parse, parse_expression, render
 from ahrank.satake import FAMILIES, RealFormSpec
 
 
@@ -263,6 +264,9 @@ def test_every_family_row_round_trips():
         ("R^-2", "split-abelian dimension must be nonnegative", 0),
         ("sl(0,R)", "sl(0,...) is not an algebra", 0),
         ("so*(3)", "so* takes an even argument, got 3", 0),
+        ("sl(3,Q)", "'q' is neither a field of sl (R, C or H) nor a bound parameter", 5),
+        ("so(3,Q)", "'q' is neither a field of so (C) nor a bound parameter", 5),
+        ("sp(3,Q)", "'q' is neither a field of sp (R or C) nor a bound parameter", 5),
     ],
 )
 def test_parse_errors_with_position(text, reason_part, position):
@@ -282,3 +286,57 @@ def test_unicode_digits_and_trailing_whitespace():
     assert parse_expression("sl(٣,R)").algebra == expected.algebra
     trailing = parse_expression("sl(3,R) ")
     assert (trailing.algebra, trailing.discarded) == (expected.algebra, expected.discarded)
+
+
+def test_parse_memo_returns_the_identical_record():
+    record = parse_expression("{sl(3,C) x su(2,1)}/Z_3")
+    assert parse_expression("{sl(3,C) x su(2,1)}/Z_3") is record
+
+
+def test_parse_memo_keys_on_the_param_values():
+    assert parse("sl(k,R)", {"k": 3}) == parse("sl(3,R)")
+    assert parse("sl(k,R)", {"k": 4}) == parse("sl(4,R)")
+
+
+def test_parse_memo_keys_on_integer_values():
+    """A value that is not an integer is refused whether or not its integer
+    was parsed before, and a bool shares its integer's record."""
+    with pytest.raises(TypeError):
+        parse("sl(k,R)", {"k": 3.0})
+    assert parse("sl(k,R)", {"k": 3}) == parse("sl(3,R)")
+    with pytest.raises(TypeError):
+        parse("sl(k,R)", {"k": 3.0})
+    assert parse("T^k", {"k": True}) is parse("T^k", {"k": 1})
+
+
+def test_parse_memo_key_ignores_param_order():
+    _memo_parse.cache_clear()
+    record = parse_expression("sl(4k+2l,R)", {"k": 1, "l": 2})
+    assert parse_expression("sl(4k+2l,R)", {"l": 2, "k": 1}) is record
+    info = _memo_parse.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_parse_memo_keeps_no_failed_parse():
+    before = _memo_parse.cache_info()
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse("sl(3,Q)")
+    after = _memo_parse.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses - before.misses == 2
+
+
+def test_parse_memo_is_bounded():
+    _memo_parse.cache_clear()
+    for k in range(2050):
+        parse("T^k", {"k": k + 1})
+    info = _memo_parse.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (2050, 2048, 2048)
+
+
+def test_catalog_sweeps_bypass_the_parse_memo():
+    before = _memo_parse.cache_info()
+    anomaly_scan(12)
+    verify_table1(20)
+    assert _memo_parse.cache_info() == before
