@@ -49,6 +49,8 @@ def spec(family: str, *params: int) -> RealFormSpec:
         ("u(1)", (), 1, 0),
         ("u(2,2)", (spec("su_pq", 2, 2),), 1, 0),
         ("S(U(4,3)xU(1))", (spec("su_pq", 4, 3),), 1, 0),
+        ("S(U(0)xU(2))", (spec("compact_A", 1),), 0, 0),
+        ("S(U(2)xU(1)xU(1))", (spec("compact_A", 1),), 2, 0),
         ("Spin(5,2)", (spec("so_pq", 5, 2),), 0, 0),
         # low-rank normalizations
         ("so(2)", (), 1, 0),
@@ -177,6 +179,7 @@ ISOMORPHIC_PAIRS = [
     ("su*(4)", "so(5,1)"), ("sp(1,1)", "so(4,1)"), ("so(5)", "sp(2)"), ("so(6)", "su(4)"),
     ("so(5,C)", "sp(2,C)"), ("so(6,C)", "sl(4,C)"), ("so*(4)", "su(2) x sl(2,R)"),
     ("so(3)", "su(2)"), ("sp(1)", "su(2)"), ("so(1,2)", "sl(2,R)"),
+    ("S(U(0)xU(3))", "su(3)"),
 ]
 
 
@@ -260,6 +263,7 @@ def test_every_family_row_round_trips():
         ("sl 3,R)", "expected '(' after sl", 3),
         ("g2(I", "expected ')' closing the form of g2", 4),
         ("S(U(2)", "expected ')' closing S(...)", 6),
+        ("S(U(0)xU(1))", "expression denotes the zero algebra", 0),
         ("T^-1", "torus dimension must be nonnegative", 0),
         ("R^-2", "split-abelian dimension must be nonnegative", 0),
         ("sl(0,R)", "sl(0,...) is not an algebra", 0),
