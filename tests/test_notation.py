@@ -264,6 +264,7 @@ def test_every_family_row_round_trips():
         ("g2(I", "expected ')' closing the form of g2", 4),
         ("S(U(2)", "expected ')' closing S(...)", 6),
         ("S(U(0)xU(1))", "expression denotes the zero algebra", 0),
+        ("S(U(0)xU(0))", "expression denotes the zero algebra", 0),
         ("T^-1", "torus dimension must be nonnegative", 0),
         ("R^-2", "split-abelian dimension must be nonnegative", 0),
         ("sl(0,R)", "sl(0,...) is not an algebra", 0),
