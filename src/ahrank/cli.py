@@ -251,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         for positional in arguments:
             cmd.add_argument(positional)
-        # only rank's --help spells out the substitution format
-        params_help = "k=2,l=1 substitutions" if name == "rank" else None
-        cmd.add_argument("--params", type=_params_arg, default=None, help=params_help)
+        cmd.add_argument("--params", type=_params_arg, default=None, help="k=2,l=1 substitutions")
     return parser
 
 

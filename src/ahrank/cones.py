@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .rootsys import Record, iota_run
+from .rootsys import Record, iota, iota_run
 from .satake import RealFormSpec, SatakeDiagram, canonical, real_rank, satake_of
 
 
@@ -70,22 +70,13 @@ def matching_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     return _free_classes(d, range(d.node_count + 1))
 
 
-def _iota_image(d: SatakeDiagram) -> list[int]:
-    """1-based image array of the longest-element involution on the whole
-    diagram, which reverses ``iota_run(d.lie_type)`` in place, applied per
-    component on doubled diagrams (index 0 unused)."""
-    n = d.lie_type.rank
-    run = iota_run(d.lie_type)
-    image = [*range(run.start), *reversed(run), *range(run.stop, n + 1)]
-    if d.components == 1:
-        return image
-    return image + [n + j for j in image[1:]]
-
-
 def antipodal_classes(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
     """Free classes generated jointly by the arrows and the longest-element
-    involution (applied per component on doubled diagrams)."""
-    return _free_classes(d, _iota_image(d))
+    involution, ``rootsys.iota`` lifted to each component (index 0 of the
+    image array unused)."""
+    image = iota(d.lie_type)
+    offsets = range(0, d.node_count, d.lie_type.rank)
+    return _free_classes(d, [0, *(offset + j for offset in offsets for j in image)])
 
 
 def a_hyperbolic_rank(d: SatakeDiagram) -> int:

@@ -31,7 +31,8 @@ group left unclosed or empty, or missing after the '/', is a parse error.
 
 Normalizations applied while parsing: the abelian cases so(2) = so*(2) =
 T^1, so(1,1) = R^1 and so(2,C) = T^1 x R^1, sl(n,H) = su*(2n), u(p,q) =
-su(p,q) x T^1 and S(U(p,q) x U(1)) = su(p,q) x T^1.  Every other
+su(p,q) x T^1, and S(U(n_1) x ... x U(n_k)) = the su parts x T^(m-1),
+m the number of nonzero n_i.  Every other
 isomorphism (su(2,1) = su(1,2), so(4) = su(2) x su(2), ...) is decided
 by ``satake.canonical`` when the algebra is built.
 """
@@ -449,24 +450,24 @@ class _Parser:
             raise ParseError(f"unknown form {form!r} for {letter}{rank}", pos)
 
     def _s_construction(self, name: str, pos: int) -> None:
-        """S(U(...) x U(...) x ...): unitary factors with one overall trace
-        condition, so k factors contribute their su parts plus T^(k-1)."""
+        """S(U(n_1) x ... x U(n_k)): each factor read as u(n_i), less one T^1
+        for the trace condition once any factor added one."""
         self.expect_sym("(", "'(' after S")
         tokens = self.tokens
-        count = 0
+        center = self.compact_center
         while True:
             self._skip_structural()
             kind, text, pos = tokens[self.index]
             if kind != "NAME" or text != "u":
                 raise ParseError("S(...) expects U(...) factors", pos)
             self.index += 1
-            self._contrib_su(*self._args("u", _NO_FIELDS, ""), pos)
-            count += 1
+            self._contrib_u(*self._args("u", _NO_FIELDS, ""), pos)
             self._skip_structural()
             if not self._at_separator():
                 break
         self.expect_sym(")", "')' closing S(...)")
-        self.compact_center += count - 1
+        if self.compact_center > center:
+            self.compact_center -= 1
 
     # -- top level -----------------------------------------------------------
 

@@ -158,6 +158,26 @@ MUTANTS = [
         "@lru_cache(maxsize=None)\ndef _memo_parse(",
         "the parse memo is bounded: a long-lived caller must not keep every text it parsed",
     ),
+    (
+        "src/ahrank/cones.py",
+        "offset + j for offset in offsets",
+        "j for offset in offsets",
+        "the -w0 image lifted without the component offset: on a doubled diagram the"
+        " second copy's nodes map into the first",
+    ),
+    (
+        "src/ahrank/notation.py",
+        "        if self.compact_center > center:\n            self.compact_center -= 1\n",
+        "        self.compact_center -= 1\n",
+        "the trace condition taken back when no factor added a T^1: S(U(0)xU(0)) is the"
+        " zero algebra, not a negative centre",
+    ),
+    (
+        "src/ahrank/notation.py",
+        "        if self.compact_center > center:\n            self.compact_center -= 1\n",
+        "",
+        "the trace condition never taken back: S(U(4,3)xU(1)) has one T^1, not two",
+    ),
 ]
 
 

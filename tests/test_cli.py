@@ -496,12 +496,12 @@ def test_sweep_bound_exits_1(argv, message, json_flag):
 
 HELP = (("-h", "--help"), "help", argparse.SUPPRESS, "show this help message and exit", None)
 JSON = (("--json",), "json", False, "emit JSON", None)
-PARAMS = (("--params",), "params", None, None, _params_arg)
+PARAMS = (("--params",), "params", None, "k=2,l=1 substitutions", _params_arg)
 
 #: Every parser's actions as (option strings, dest, default, help, type).
 PARSER_ACTIONS = {
     "ahrank": [HELP],
-    "ahrank rank": [HELP, JSON, ((), "expr", None, None, None), (("--params",), "params", None, "k=2,l=1 substitutions", _params_arg)],
+    "ahrank rank": [HELP, JSON, ((), "expr", None, None, None), PARAMS],
     "ahrank decide": [HELP, JSON, ((), "g", None, None, None), ((), "h", None, None, None), PARAMS],
     "ahrank embed-check": [HELP, JSON, ((), "g", None, None, None), ((), "h", None, None, None), PARAMS],
     "ahrank satake-show": [HELP, JSON, ((), "form", None, None, None), PARAMS],

@@ -195,16 +195,16 @@ def _walk_calls(monkeypatch) -> list[SatakeDiagram]:
     return calls
 
 
-def _image_calls(monkeypatch) -> list[SatakeDiagram]:
-    """Record each diagram that the -w0 image array is built for."""
+def _image_calls(monkeypatch) -> list[LieType]:
+    """Record each type whose -w0 image ``cones`` reads."""
     calls = []
-    build = cones._iota_image
+    build = cones.iota
 
-    def recorded(d):
-        calls.append(d)
-        return build(d)
+    def recorded(t):
+        calls.append(t)
+        return build(t)
 
-    monkeypatch.setattr(cones, "_iota_image", recorded)
+    monkeypatch.setattr(cones, "iota", recorded)
     return calls
 
 
