@@ -125,8 +125,9 @@ class RankProfile(Record):
     __slots__ = ("real_rank", "a_hyperbolic_rank")
 
     def __init__(self, real_rank: int, a_hyperbolic_rank: int) -> None:
-        object.__setattr__(self, "real_rank", real_rank)
-        object.__setattr__(self, "a_hyperbolic_rank", a_hyperbolic_rank)
+        set_real_rank, set_a_hyperbolic_rank = self._setters
+        set_real_rank(self, real_rank)
+        set_a_hyperbolic_rank(self, a_hyperbolic_rank)
         if not 0 <= a_hyperbolic_rank <= real_rank:
             raise ValueError(
                 f"need 0 <= a-hyperbolic rank <= real rank, got {self!r}"
@@ -150,9 +151,10 @@ class ReductiveAlgebra(Record):
     ) -> None:
         factors = (image for spec in simple_factors for image in canonical(spec))
         ordered = tuple(sorted(factors, key=RealFormSpec._values))
-        object.__setattr__(self, "simple_factors", ordered)
-        object.__setattr__(self, "compact_center_dim", compact_center_dim)
-        object.__setattr__(self, "split_center_dim", split_center_dim)
+        set_simple_factors, set_compact_center_dim, set_split_center_dim = self._setters
+        set_simple_factors(self, ordered)
+        set_compact_center_dim(self, compact_center_dim)
+        set_split_center_dim(self, split_center_dim)
         if compact_center_dim < 0 or split_center_dim < 0:
             raise ValueError("center dimensions must be nonnegative")
         if not ordered and not (compact_center_dim or split_center_dim):

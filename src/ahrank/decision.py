@@ -38,19 +38,21 @@ class TraceStep(Record):
     __slots__ = ("condition", "lhs", "op", "rhs", "holds")
 
     def __init__(self, condition: str, lhs: int, op: str, rhs: int, holds: bool) -> None:
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
+        set_condition, set_lhs, set_op, set_rhs, set_holds = self._setters
+        set_condition(self, condition)
+        set_lhs(self, lhs)
+        set_op(self, op)
+        set_rhs(self, rhs)
+        set_holds(self, holds)
 
 
 class Decision(Record):
     __slots__ = ("verdict", "trace")
 
     def __init__(self, verdict: Verdict, trace: tuple[TraceStep, ...]) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "trace", trace)
+        set_verdict, set_trace = self._setters
+        set_verdict(self, verdict)
+        set_trace(self, trace)
 
 
 class NotASubgroupPairError(ValueError):

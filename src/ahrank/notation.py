@@ -86,9 +86,10 @@ class AlgebraExpression(Record):
     __slots__ = ("source", "algebra", "discarded")
 
     def __init__(self, source: str, algebra: ReductiveAlgebra, discarded: tuple[str, ...]) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "discarded", discarded)
+        set_source, set_algebra, set_discarded = self._setters
+        set_source(self, source)
+        set_algebra(self, algebra)
+        set_discarded(self, discarded)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

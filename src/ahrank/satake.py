@@ -43,8 +43,9 @@ class RealFormSpec(Record):
     __slots__ = ("family", "params")
 
     def __init__(self, family: str, params: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        set_family, set_params = self._setters
+        set_family(self, family)
+        set_params(self, params)
 
     def __hash__(self) -> int:
         return hash((self.family, self.params))
@@ -72,10 +73,11 @@ class SatakeDiagram(Record):
         arrows: frozenset[tuple[int, int]] = frozenset(),
         components: int = 1,
     ) -> None:
-        object.__setattr__(self, "lie_type", lie_type)
-        object.__setattr__(self, "black", black)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "components", components)
+        set_lie_type, set_black, set_arrows, set_components = self._setters
+        set_lie_type(self, lie_type)
+        set_black(self, black)
+        set_arrows(self, arrows)
+        set_components(self, components)
 
     @property
     def node_count(self) -> int:

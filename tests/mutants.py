@@ -178,6 +178,41 @@ MUTANTS = [
         "",
         "the trace condition never taken back: S(U(4,3)xU(1)) has one T^1, not two",
     ),
+    (
+        "src/ahrank/cones.py",
+        "set_real_rank, set_a_hyperbolic_rank = self._setters",
+        "set_a_hyperbolic_rank, set_real_rank = self._setters",
+        "RankProfile's setters swapped: each rank is stored in the other's field",
+    ),
+    (
+        "src/ahrank/rootsys.py",
+        "zip(self._setters, values, strict=True)",
+        "zip(self._setters, values)",
+        "the generic constructor must reject a wrong field count, not leave a field unset"
+        " or drop a value",
+    ),
+    (
+        "src/ahrank/notation.py",
+        "            if k < 0:\n"
+        '                raise ParseError("split-abelian dimension must be nonnegative", pos)',
+        "            if k <= 0:\n"
+        '                raise ParseError("split-abelian dimension must be nonnegative", pos)',
+        "R^0 is the zero split centre, not an error: su(2) x R^0 is su(2)",
+    ),
+    (
+        "src/ahrank/notation.py",
+        'if kind == "SYM" and text == "_":',
+        'if kind == "SYM" or text == "_":',
+        "a symbol after a bare quotient name is no subscript: {su(2)/Z} and su(2)/Z * su(2)"
+        " parse",
+    ),
+    (
+        "src/ahrank/cli.py",
+        "if not name or not value:",
+        "if not name and not value:",
+        "a --params entry with an empty name or an empty value is one usage error, named"
+        " as such: '=5' and 'k='",
+    ),
 ]
 
 

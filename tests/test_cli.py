@@ -138,6 +138,8 @@ def test_repeated_params_name_is_a_usage_error(capsys, params):
         ("k=5_0", "bad integer in --params: '5_0'"),  # sl(5_0,R) is a parse error
         ("k k=5", "bad --params name 'k k'; expected ASCII letters"),
         ("k1=5", "bad --params name 'k1'; expected ASCII letters"),
+        ("=5", "bad --params entry '=5'; expected name=value"),
+        ("k=", "bad --params entry 'k='; expected name=value"),
     ],
 )
 def test_params_outside_the_expression_language_are_usage_errors(capsys, params, message):

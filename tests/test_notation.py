@@ -65,6 +65,10 @@ def spec(family: str, *params: int) -> RealFormSpec:
         ("so(2,C)", (), 1, 1),
         ("sp(1,C)", (spec("complex_A", 1),), 0, 0),
         ("sl(2,H)", (spec("su_star", 4),), 0, 0),
+        # a zero split centre, and symbols right after a bare quotient
+        ("su(2) x R^0", (spec("compact_A", 1),), 0, 0),
+        ("{su(2)/Z}", (spec("compact_A", 1),), 0, 0),
+        ("su(2)/Z * su(2)", (spec("compact_A", 1), spec("compact_A", 1)), 0, 0),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )

@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from ahrank.catalog import VerificationReport
 from ahrank.cones import RankProfile, ReductiveAlgebra
 from ahrank.decision import Decision, Obstruction, TraceStep, Verdict
 from ahrank.notation import AlgebraExpression
@@ -32,6 +33,11 @@ SAMPLES = [
     (Decision, ("verdict", "trace"), (Verdict.UNDETERMINED, ())),
     (Obstruction, ("obstructed", "witnesses"), (True, ("real_rank",))),
     (AlgebraExpression, ("source", "algebra", "discarded"), ("sl(3,R) x T^1 x R^2", _ALGEBRA, ())),
+    (
+        VerificationReport,
+        ("rows_checked", "instances_checked", "failures", "skips"),
+        (2, 5, (), (("row 3", (("n", 2),), "G not simple noncompact"),)),
+    ),
 ]
 
 _IDS = [cls.__name__ for cls, _, _ in SAMPLES]
@@ -107,6 +113,12 @@ def test_repr_names_every_field(cls, names, values):
 def test_constructor_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("values", [(True,), (True, (), 1)], ids=["short", "long"])
+def test_generic_constructor_rejects_a_wrong_field_count(values):
+    with pytest.raises(ValueError):
+        Obstruction(*values)
 
 
 def test_rank_profile_error_names_the_record():
