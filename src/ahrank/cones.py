@@ -93,15 +93,15 @@ def _a_hyperbolic_count(d: SatakeDiagram, real: int) -> int:
     run = iota_run(d.lie_type)
     if not (run and real):
         return real
-    n = d.lie_type.rank
-    fixed = n - len(run) + len(run) % 2  # the nodes -w0 fixes on one component
+    n, length = d.lie_type.rank, len(run)
+    fixed = n - length + length % 2  # the nodes -w0 fixes on one component
     if d.components == 2:
         return (real + fixed) // 2
     mirror = run.start + run.stop - 1  # -w0 sends x in the run to mirror - x
     black = d.black
-    if len(run) < n:  # the black nodes off the run (none on A_n) are fixed
+    if length < n:  # the black nodes off the run (none on A_n) are fixed
         fixed -= len(black) - len(black.intersection(run))
-    fixed -= len(run) % 2 == 1 and mirror // 2 in black  # so is a black middle
+    fixed -= length % 2 == 1 and mirror // 2 in black  # so is a black middle
     for i, j in d.arrows:
         if i + j == mirror:  # reversed in place: one fixed class
             fixed += 1

@@ -21,13 +21,19 @@ are sl_R (n), su_star (2n), su_pq (p, q), so_pq (p, q), sp_R (n), sp_pq
 the compact form and X_rank(C) viewed as real; and the exceptional forms
 of ``EXCEPTIONAL`` (e6_I .. g2_split), which take no parameters.
 
+Every family constructor with parameters takes its ``LieType`` from
+``_series_type``, a small bounded cache, so the forms of one type share
+one validated instance.  ``real_forms`` lists each type's forms less the
+isomorphic presentations of ``_COINCIDENCES``, whose keys all have type
+rank at most ``_COINCIDENCE_RANK``; above it no form is looked up.
+
 Doubled diagrams number the second copy after the first: nodes 1..n and
 n+1..2n, with arrows (i, n+i).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import NoReturn
 
 from .rootsys import LieType, Record, _edges
@@ -90,16 +96,29 @@ class SatakeDiagram(Record):
 # ---------------------------------------------------------------------------
 # family constructors
 
+@lru_cache(maxsize=128)
+def _series_type(letter: str, rank: int) -> LieType:
+    """``LieType(letter, rank)``, a rank outside the series a domain error.
+    Every family constructor with parameters takes its type from here, so
+    the forms of one type share one validated instance; the cache is
+    bounded, and a type that fails to build raises every time and is never
+    kept."""
+    try:
+        return LieType(letter, rank)
+    except ValueError as exc:
+        raise InvalidRealFormError(str(exc)) from exc
+
+
 def _sl_R(n: int) -> SatakeDiagram:
     if n < 2:
         raise InvalidRealFormError(f"sl(n,R) requires n >= 2, got n={n}")
-    return SatakeDiagram(LieType("A", n - 1))
+    return SatakeDiagram(_series_type("A", n - 1))
 
 
 def _su_star(m: int) -> SatakeDiagram:
     if m < 4 or m % 2:
         raise InvalidRealFormError(f"su*(2n) requires an even argument >= 4, got {m}")
-    return SatakeDiagram(LieType("A", m - 1), black=frozenset(range(1, m, 2)))
+    return SatakeDiagram(_series_type("A", m - 1), frozenset(range(1, m, 2)))
 
 
 def _su_pq(p: int, q: int) -> SatakeDiagram:
@@ -109,7 +128,7 @@ def _su_pq(p: int, q: int) -> SatakeDiagram:
     low = min(p, q)
     arrows = frozenset(zip(range(1, min(low, (n - 1) // 2) + 1), range(n - 1, 0, -1)))
     black = frozenset(range(low + 1, n - low))
-    return SatakeDiagram(LieType("A", n - 1), black=black, arrows=arrows)
+    return SatakeDiagram(_series_type("A", n - 1), black, arrows)
 
 
 def _so_pq(p: int, q: int) -> SatakeDiagram:
@@ -121,18 +140,18 @@ def _so_pq(p: int, q: int) -> SatakeDiagram:
     low = min(p, q)
     m = total // 2
     if total % 2:
-        return SatakeDiagram(LieType("B", m), black=frozenset(range(low + 1, m + 1)))
+        return SatakeDiagram(_series_type("B", m), frozenset(range(low + 1, m + 1)))
     if low == m:
-        return SatakeDiagram(LieType("D", m))
+        return SatakeDiagram(_series_type("D", m))
     if low == m - 1:
-        return SatakeDiagram(LieType("D", m), arrows=frozenset([(m - 1, m)]))
-    return SatakeDiagram(LieType("D", m), black=frozenset(range(low + 1, m + 1)))
+        return SatakeDiagram(_series_type("D", m), frozenset(), frozenset([(m - 1, m)]))
+    return SatakeDiagram(_series_type("D", m), frozenset(range(low + 1, m + 1)))
 
 
 def _sp_R(n: int) -> SatakeDiagram:
     if n < 1:
         raise InvalidRealFormError(f"sp(n,R) requires n >= 1, got n={n}")
-    return SatakeDiagram(LieType("C", n))
+    return SatakeDiagram(_series_type("C", n))
 
 
 def _sp_pq(p: int, q: int) -> SatakeDiagram:
@@ -141,7 +160,7 @@ def _sp_pq(p: int, q: int) -> SatakeDiagram:
     n = p + q
     low = min(p, q)
     black = frozenset(range(1, 2 * low, 2)) | frozenset(range(2 * low + 1, n + 1))
-    return SatakeDiagram(LieType("C", n), black=black)
+    return SatakeDiagram(_series_type("C", n), black)
 
 
 def _so_star(m: int) -> SatakeDiagram:
@@ -149,7 +168,7 @@ def _so_star(m: int) -> SatakeDiagram:
         raise InvalidRealFormError(f"so*(2n) requires an even argument >= 4, got {m}")
     n = m // 2
     arrows = frozenset([(n - 1, n)] if n % 2 else ())
-    return SatakeDiagram(LieType("D", n), black=frozenset(range(1, n, 2)), arrows=arrows)
+    return SatakeDiagram(_series_type("D", n), frozenset(range(1, n, 2)), arrows)
 
 
 #: The exceptional real forms, in enumeration order: family label to
@@ -177,23 +196,11 @@ def complex_as_real(t: LieType) -> SatakeDiagram:
     copies of t with arrows joining node i of the first copy to node i of
     the second."""
     n = t.rank
-    return SatakeDiagram(
-        t,
-        arrows=frozenset(zip(range(1, n + 1), range(n + 1, 2 * n + 1))),
-        components=2,
-    )
-
-
-def _series_type(letter: str, rank: int) -> LieType:
-    """``LieType(letter, rank)``, a rank outside the series a domain error."""
-    try:
-        return LieType(letter, rank)
-    except ValueError as exc:
-        raise InvalidRealFormError(str(exc)) from exc
+    return SatakeDiagram(t, frozenset(), frozenset(zip(range(1, n + 1), range(n + 1, 2 * n + 1))), 2)
 
 
 def _compact_form(letter: str, rank: int) -> SatakeDiagram:
-    return SatakeDiagram(_series_type(letter, rank), black=frozenset(range(1, rank + 1)))
+    return SatakeDiagram(_series_type(letter, rank), frozenset(range(1, rank + 1)))
 
 
 def _complex_form(letter: str, rank: int) -> SatakeDiagram:
@@ -302,6 +309,10 @@ _COINCIDENCES: dict[RealFormSpec, tuple[RealFormSpec, ...]] = {
     )
 }
 
+#: The largest type rank of a ``_COINCIDENCES`` key (so*(8), of D4), so
+#: ``real_forms`` of a higher rank has no form to leave out.
+_COINCIDENCE_RANK = 4
+
 
 def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
     """One product of specs per isomorphism class: two parameters ascending,
@@ -317,7 +328,9 @@ def canonical(spec: RealFormSpec) -> tuple[RealFormSpec, ...]:
 def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
     """All real forms of a simple complex type, compact form included, each
     its own ``canonical`` image, so each isomorphism class is listed once
-    over all types (types outside ``canonical_types`` list none)."""
+    over all types (types outside ``canonical_types`` list none).  Only a
+    type of rank up to ``_COINCIDENCE_RANK`` is looked up in
+    ``_COINCIDENCES``."""
     n = t.rank
     forms: list[RealFormSpec] = []
     if t.letter == "A":
@@ -341,6 +354,8 @@ def real_forms(t: LieType) -> tuple[RealFormSpec, ...]:
             if (letter, rank) == (t.letter, n)
         )
     forms.append(RealFormSpec(f"compact_{t.letter}", (n,)))
+    if n > _COINCIDENCE_RANK:
+        return tuple(forms)
     return tuple(s for s in forms if s not in _COINCIDENCES)
 
 

@@ -77,15 +77,15 @@ MUTANTS = [
     ),
     (
         "src/ahrank/cones.py",
-        "fixed -= len(run) % 2 == 1 and mirror // 2 in black  #",
+        "fixed -= length % 2 == 1 and mirror // 2 in black  #",
         "pass  #",
         "equivalent: dropping the black middle node of an odd run raises the"
         " fixed-class count F by one, which the floor of (real + F) / 2 absorbs",
     ),
     (
         "src/ahrank/cones.py",
-        "fixed -= len(run) % 2 == 1 and mirror // 2 in black",
-        "fixed -= 2 * (len(run) % 2 == 1 and mirror // 2 in black)",
+        "fixed -= length % 2 == 1 and mirror // 2 in black",
+        "fixed -= 2 * (length % 2 == 1 and mirror // 2 in black)",
         "the black middle node of an odd run is one fixed black node",
     ),
     (
@@ -212,6 +212,25 @@ MUTANTS = [
         "if not name and not value:",
         "a --params entry with an empty name or an empty value is one usage error, named"
         " as such: '=5' and 'k='",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "_COINCIDENCE_RANK = 4",
+        "_COINCIDENCE_RANK = 3",
+        "the coincidence bound lowered by one: real_forms(D4) would list so*(8), the"
+        " triality image of so(2,6)",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "    return tuple(s for s in forms if s not in _COINCIDENCES)",
+        "    return tuple(forms)",
+        "the coincidence filter dropped: real_forms(A1) would list su(1,1) beside sl(2,R)",
+    ),
+    (
+        "src/ahrank/satake.py",
+        "@lru_cache(maxsize=128)\ndef _series_type(",
+        "@lru_cache(maxsize=None)\ndef _series_type(",
+        "the type cache is bounded: a long-lived caller must not keep every type it built",
     ),
 ]
 

@@ -13,6 +13,7 @@ from conftest import _automorphisms, cartan_matrix, is_cartan_automorphism, isom
 from ahrank.cones import ReductiveAlgebra
 from ahrank.rootsys import SERIES, LieType, _edges, canonical_types
 from ahrank.satake import (
+    _COINCIDENCE_RANK,
     _COINCIDENCES,
     EXCEPTIONAL,
     FAMILIES,
@@ -27,6 +28,7 @@ from ahrank.satake import (
     real_forms,
     real_rank,
     satake_of,
+    _series_type,
 )
 
 
@@ -286,6 +288,29 @@ def test_family_table_has_no_dead_row():
     complex_forms = {f"complex_{letter}" for letter in SERIES}
     assert set(FAMILIES) == listed | complex_forms | set(EXCEPTIONAL)
     assert len(complex_forms) == 7 and len(EXCEPTIONAL) == 12
+
+
+def test_forms_of_one_type_share_one_type():
+    t = satake_of(RealFormSpec("sl_R", (8,))).lie_type
+    assert all(satake_of(spec).lie_type is t for spec in real_forms(t))
+
+
+def test_type_cache_keeps_no_refused_type():
+    before = _series_type.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidRealFormError, match="^type D requires rank >= 2$"):
+            satake_of(RealFormSpec("compact_D", (1,)))
+    after = _series_type.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (0, 2)
+    assert satake_of(RealFormSpec("compact_D", (2,))).lie_type == LieType("D", 2)
+
+
+def test_type_cache_is_bounded():
+    _series_type.cache_clear()
+    for rank in range(1, 131):
+        satake_of(RealFormSpec("compact_A", (rank,)))
+    info = _series_type.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (130, 128, 128)
 
 
 def test_real_forms_enumeration():
@@ -582,6 +607,18 @@ def test_coincidence_is_an_isomorphism(source, targets):
     assert list(source.params) == sorted(source.params)
     assert all(canonical(target) == (target,) for target in targets)
     assert isomorphic_diagrams([_diagram(source)], [satake_of(t) for t in targets])
+
+
+def test_coincidence_keys_lie_within_the_stated_rank():
+    # real_forms looks a type up in _COINCIDENCES only up to this rank
+    ranks, unbuilt = [], []
+    for spec in _COINCIDENCES:
+        try:
+            ranks.append(satake_of(spec).lie_type.rank)
+        except InvalidRealFormError:
+            unbuilt.append(spec)
+    assert max(ranks) == _COINCIDENCE_RANK
+    assert unbuilt == [RealFormSpec("su_star", (2,))]
 
 
 def _presentations(rank_bound):
